@@ -24,6 +24,14 @@ std::uint64_t steady_us() {
           .count());
 }
 
+/// `filter` restricted to the records of one source shard.
+RecordFilter shard_filter(RecordFilter filter, std::size_t shard,
+                          std::size_t shards) {
+  filter.shard = shard;
+  filter.shards = shards;
+  return filter;
+}
+
 }  // namespace
 
 ParallelPipeline::ParallelPipeline(ParallelPipelineOptions options)
@@ -54,9 +62,6 @@ ParallelPipeline::ParallelPipeline(ParallelPipelineOptions options)
     queue_wait_us_ = &metrics->latency(
         "parallel.queue_wait_us",
         "time a classify batch waited in the pool queue");
-    shard_records_hist_ = &metrics->histogram(
-        "parallel.shard_records", obs::size_bounds(),
-        "records per analysis shard (imbalance indicator)");
     classify_batch_us_ = &metrics->latency(
         "parallel.classify_batch_us",
         "wall time a worker spent classifying one batch");
@@ -288,44 +293,16 @@ std::span<const PacketRecord> ParallelPipeline::records() {
   return records_;
 }
 
-const std::vector<std::vector<PacketRecord>>&
-ParallelPipeline::shard_records() {
-  finish();
-  if (!sharded_) {
-    obs::Span span(options_.base.obs.tracer, "parallel.shard_partition");
-    // Count first so each shard vector is reserved exactly once — the
-    // partition then never reallocates mid-pass.
-    std::vector<std::size_t> counts(shards_, 0);
-    for (const auto& record : records_) {
-      ++counts[util::shard_of(record.src.value(), shards_)];
-    }
-    shard_records_.assign(shards_, {});
-    for (std::size_t s = 0; s < shards_; ++s) {
-      shard_records_[s].reserve(counts[s]);
-    }
-    for (const auto& record : records_) {
-      shard_records_[util::shard_of(record.src.value(), shards_)].push_back(
-          record);
-    }
-    sharded_ = true;
-    if (shard_records_hist_ != nullptr) {
-      for (const auto& shard : shard_records_) {
-        shard_records_hist_->observe(shard.size());
-      }
-    }
-  }
-  return shard_records_;
-}
-
 std::vector<std::vector<Session>> ParallelPipeline::sharded_sessions(
     util::Duration timeout, const RecordFilter& filter) {
-  const auto& shards = shard_records();
+  finish();
   std::vector<std::vector<Session>> parts(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
     obs::Span span(options_.base.obs.tracer,
                    "parallel.sessionize.shard" + std::to_string(s));
     const auto start = sessionize_shard_us_ != nullptr ? steady_us() : 0;
-    parts[s] = build_sessions(shards[s], timeout, filter);
+    parts[s] =
+        build_sessions(records_, timeout, shard_filter(filter, s, shards_));
     if (sessionize_shard_us_ != nullptr) {
       sessionize_shard_us_->record(steady_us() - start);
     }
@@ -357,13 +334,13 @@ std::vector<Session> ParallelPipeline::common_sessions(
 std::vector<std::pair<util::Duration, std::uint64_t>>
 ParallelPipeline::session_timeout_sweep(
     std::span<const util::Duration> timeouts) {
-  const auto& shards = shard_records();
-  const auto filter = sanitized_quic_filter();
+  finish();
   std::vector<GapProfile> profiles(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
     obs::Span span(options_.base.obs.tracer,
                    "parallel.gap_profile.shard" + std::to_string(s));
-    profiles[s] = collect_gap_profile(shards[s], filter);
+    profiles[s] = collect_gap_profile(
+        records_, shard_filter(sanitized_quic_filter(), s, shards_));
   });
   obs::Span span(options_.base.obs.tracer, "parallel.merge_gap_profiles");
   GapProfile merged;
@@ -379,10 +356,8 @@ Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks() {
 
 Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
     const DosThresholds& thresholds) {
-  const auto& shards = shard_records();
+  finish();
   const auto timeout = options_.base.session_timeout;
-  const auto response_filter = quic_response_filter();
-  const auto common_filter = common_backscatter_filter();
 
   struct ShardAnalysis {
     std::vector<Session> response, common;
@@ -394,8 +369,11 @@ Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
                    "parallel.analyze.shard" + std::to_string(s));
     const auto start = analyze_shard_us_ != nullptr ? steady_us() : 0;
     auto& out = outs[s];
-    out.response = build_sessions(shards[s], timeout, response_filter);
-    out.common = build_sessions(shards[s], timeout, common_filter);
+    out.response = build_sessions(
+        records_, timeout, shard_filter(quic_response_filter(), s, shards_));
+    out.common =
+        build_sessions(records_, timeout,
+                       shard_filter(common_backscatter_filter(), s, shards_));
     out.quic_attacks = detect_attacks(out.response, thresholds);
     out.common_attacks = detect_attacks(out.common, thresholds);
     if (analyze_shard_us_ != nullptr) {

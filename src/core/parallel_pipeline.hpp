@@ -5,9 +5,10 @@
 // summation when ingest finishes. The analyses then shard the record
 // stream by hash(source IP) % N; sessionization and DoS detection are
 // purely source-local (§5.1), so every shard runs the serial inner loops
-// on its own subspan and the merged output is bit-identical to the
-// serial Pipeline regardless of shard count. See DESIGN.md
-// "Parallel execution model" for the determinism argument.
+// over the one record array, filtered to its own sources, and the merged
+// output is bit-identical to the serial Pipeline regardless of shard
+// count. See DESIGN.md "Parallel execution model" for the determinism
+// argument.
 #pragma once
 
 #include <cstdint>
@@ -104,8 +105,6 @@ class ParallelPipeline {
   /// Return a claimed slot and wake blocked producers; takes
   /// inflight_mutex_ itself (called from worker jobs).
   void release_inflight_slot() QS_EXCLUDES(inflight_mutex_);
-  /// Partition records() by hash(source IP) % shards, once.
-  const std::vector<std::vector<PacketRecord>>& shard_records();
   std::vector<std::vector<Session>> sharded_sessions(
       util::Duration timeout, const RecordFilter& filter);
 
@@ -138,8 +137,6 @@ class ParallelPipeline {
   ClassifierStats stats_;
   HourlySeries hourly_;
   std::vector<PacketRecord> records_;
-  bool sharded_ = false;
-  std::vector<std::vector<PacketRecord>> shard_records_;
 
   // Observability handles, resolved once at construction; all nullptr
   // when no registry is attached (options_.base.obs).
@@ -148,7 +145,6 @@ class ParallelPipeline {
   obs::Counter* batches_counter_ = nullptr;
   obs::LatencyHistogram* backpressure_wait_us_ = nullptr;
   obs::LatencyHistogram* queue_wait_us_ = nullptr;
-  obs::Histogram* shard_records_hist_ = nullptr;
   obs::LatencyHistogram* classify_batch_us_ = nullptr;
   obs::LatencyHistogram* sessionize_shard_us_ = nullptr;
   obs::LatencyHistogram* analyze_shard_us_ = nullptr;

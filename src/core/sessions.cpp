@@ -1,6 +1,7 @@
 #include "core/sessions.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace quicsand::core {
 
@@ -15,10 +16,30 @@ Session open_session(const PacketRecord& record) {
   return session;
 }
 
+constexpr std::uint8_t class_bit(TrafficClass cls) {
+  return static_cast<std::uint8_t>(1U << static_cast<unsigned>(cls));
+}
+
 }  // namespace
 
+void FlatSet::grow() {
+  std::vector<std::uint64_t> old(2 * slots_.size(), 0);
+  old.swap(slots_);
+  for (const auto key : old) {
+    if (key != 0) slots_[find_slot(key)] = key;
+  }
+}
+
+bool operator==(const FlatSet& a, const FlatSet& b) {
+  if (a.size() != b.size() || a.has_zero_ != b.has_zero_) return false;
+  return std::all_of(a.slots_.begin(), a.slots_.end(),
+                     [&b](std::uint64_t key) {
+                       return key == 0 || b.contains(key);
+                     });
+}
+
 void absorb_record(Session& session, const PacketRecord& record) {
-  session.end = record.timestamp;
+  session.end = std::max(session.end, record.timestamp);
   ++session.packets;
   session.bytes += record.wire_size;
   // Boundary packets (elapsed time an exact multiple of a minute) close
@@ -26,15 +47,15 @@ void absorb_record(Session& session, const PacketRecord& record) {
   // timing difference around the boundary would flip peak_pps() across
   // the DoS threshold.
   const auto elapsed = record.timestamp - session.start;
-  const auto slot =
-      elapsed == util::Duration{}
-          ? util::MinuteBin{}
-          : util::MinuteBin{(elapsed - util::kMicrosecond) / util::kMinute};
-  const auto minute = static_cast<std::size_t>(slot.count());
-  if (session.minute_counts.size() <= minute) {
-    session.minute_counts.resize(minute + 1, 0);
+  const std::int64_t slot =
+      elapsed <= util::Duration{}
+          ? 0
+          : (elapsed - util::kMicrosecond) / util::kMinute;
+  if (slot > session.minute_slot) {
+    session.minute_slot = slot;
+    session.minute_count = 0;
   }
-  ++session.minute_counts[minute];
+  session.best_minute = std::max(session.best_minute, ++session.minute_count);
   if (record.has_scid) session.scids.insert(record.scid_hash);
   // The "peer" is the other endpoint: destination for responses and
   // requests alike (the telescope side).
@@ -46,7 +67,15 @@ void absorb_record(Session& session, const PacketRecord& record) {
     session.kind_counts[k] += record.kind_counts[k];
   }
   if (record.quic_version != 0) {
-    ++session.version_counts[record.quic_version];
+    auto& versions = session.version_counts;
+    const auto it = std::lower_bound(
+        versions.begin(), versions.end(), record.quic_version,
+        [](const auto& entry, std::uint32_t v) { return entry.first < v; });
+    if (it != versions.end() && it->first == record.quic_version) {
+      ++it->second;
+    } else {
+      versions.emplace(it, record.quic_version, 1);
+    }
   }
 }
 
@@ -54,40 +83,26 @@ bool session_before(const Session& a, const Session& b) {
   return a.start < b.start || (a.start == b.start && a.source < b.source);
 }
 
-std::uint32_t Session::dominant_version() const {
-  std::uint32_t best_version = 0;
-  std::uint64_t best_count = 0;
-  for (const auto& [version, count] : version_counts) {
-    if (count > best_count) {
-      best_count = count;
-      best_version = version;
-    }
-  }
-  return best_version;
-}
-
 RecordFilter quic_request_filter(bool include_research) {
-  return [include_research](const PacketRecord& r) {
-    return r.cls == TrafficClass::kQuicRequest &&
-           (include_research || !r.is_research);
-  };
+  return {.classes = class_bit(TrafficClass::kQuicRequest),
+          .include_research = include_research};
 }
 
 RecordFilter quic_response_filter() {
-  return [](const PacketRecord& r) {
-    return r.cls == TrafficClass::kQuicResponse && !r.is_research;
-  };
+  return {.classes = class_bit(TrafficClass::kQuicResponse)};
 }
 
 RecordFilter common_backscatter_filter() {
-  return [](const PacketRecord& r) {
-    return r.cls == TrafficClass::kTcpBackscatter ||
-           r.cls == TrafficClass::kIcmpBackscatter;
-  };
+  return {.classes = static_cast<std::uint8_t>(
+              class_bit(TrafficClass::kTcpBackscatter) |
+              class_bit(TrafficClass::kIcmpBackscatter)),
+          .include_research = true};
 }
 
 RecordFilter sanitized_quic_filter() {
-  return [](const PacketRecord& r) { return r.is_quic() && !r.is_research; };
+  return {.classes = static_cast<std::uint8_t>(
+              class_bit(TrafficClass::kQuicRequest) |
+              class_bit(TrafficClass::kQuicResponse))};
 }
 
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,

@@ -6,16 +6,73 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/record.hpp"
 #include "core/units.hpp"
+#include "util/sharded_counter.hpp"
 
 namespace quicsand::core {
+
+/// Exact set of 64-bit keys: open addressing with linear probing over
+/// one power-of-two slot array that is at most half full, so each
+/// distinct key costs 16–32 bytes and an insert of a key already present
+/// allocates nothing. Slot value 0 marks an empty slot; key 0 itself is
+/// held by a flag. Equality compares contents, not slot layout, so it
+/// does not depend on insertion order.
+class FlatSet {
+ public:
+  /// Adds `key`; returns whether it was new.
+  bool insert(std::uint64_t key) {
+    if (key == 0) {
+      const bool inserted = !has_zero_;
+      has_zero_ = true;
+      return inserted;
+    }
+    if (slots_.empty()) slots_.assign(kMinSlots, 0);
+    auto slot = find_slot(key);
+    if (slots_[slot] == key) return false;
+    if (2 * (nonzero_ + 1) > slots_.size()) {
+      grow();
+      slot = find_slot(key);
+    }
+    slots_[slot] = key;
+    ++nonzero_;
+    return true;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t key) const {
+    if (key == 0) return has_zero_;
+    return !slots_.empty() && slots_[find_slot(key)] == key;
+  }
+
+  [[nodiscard]] std::size_t size() const {
+    return nonzero_ + (has_zero_ ? 1 : 0);
+  }
+
+  friend bool operator==(const FlatSet& a, const FlatSet& b);
+
+ private:
+  static constexpr std::size_t kMinSlots = 8;
+
+  /// The slot holding `key`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const {
+    const auto mask = slots_.size() - 1;
+    auto slot = static_cast<std::size_t>(util::mix64(key)) & mask;
+    while (slots_[slot] != 0 && slots_[slot] != key) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  void grow();
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t nonzero_ = 0;
+  bool has_zero_ = false;
+};
 
 struct Session {
   net::Ipv4Address source;
@@ -23,27 +80,25 @@ struct Session {
   util::Timestamp end{};
   PacketCount packets{};
   std::uint64_t bytes = 0;
-  /// Packet count per 1-minute slot since `start` (max-pps computation).
-  std::vector<std::uint32_t> minute_counts;
+  /// Running 1-minute packet count for peak_pps(): the open minute slot
+  /// since `start` (see absorb_record), its count so far, and the
+  /// highest count any slot reached.
+  std::int64_t minute_slot = 0;
+  std::uint32_t minute_count = 0;
+  std::uint32_t best_minute = 0;
   /// Distinct counter hashes: SCIDs, peer addresses, (addr, port) pairs.
-  std::unordered_set<std::uint64_t> scids;
-  std::unordered_set<std::uint32_t> peers;
-  std::unordered_set<std::uint64_t> peer_ports;
-  /// QUIC message composition and version mix.
+  FlatSet scids;
+  FlatSet peers;
+  FlatSet peer_ports;
+  /// QUIC message composition, and the version mix as (version, packets)
+  /// pairs sorted by version.
   std::array<std::uint64_t, kQuicKindCount> kind_counts{};
-  std::unordered_map<std::uint32_t, std::uint64_t> version_counts;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> version_counts;
 
   [[nodiscard]] util::Duration duration() const { return end - start; }
 
   /// Highest 1-minute packet rate, in packets per second.
-  [[nodiscard]] Pps peak_pps() const {
-    std::uint32_t best = 0;
-    for (const auto c : minute_counts) best = std::max(best, c);
-    return per_minute_rate(best);
-  }
-
-  /// Dominant QUIC version (most packets); 0 when none seen.
-  [[nodiscard]] std::uint32_t dominant_version() const;
+  [[nodiscard]] Pps peak_pps() const { return per_minute_rate(best_minute); }
 
   friend bool operator==(const Session&, const Session&) = default;
 };
@@ -53,6 +108,9 @@ struct Session {
 /// the session start, with the start packet in slot 0: a packet exactly
 /// 60 s after the start has one minute of elapsed activity and belongs
 /// to the closing minute rather than opening a phantom trailing slot.
+/// Out-of-order records are defined, not trusted: a record whose slot
+/// lies before the open one counts in the open minute, and `end` never
+/// moves backwards. On time-ordered input every slot's count is exact.
 void absorb_record(Session& session, const PacketRecord& record);
 
 /// Strict ordering of session lists: by start time, ties broken by
@@ -60,7 +118,22 @@ void absorb_record(Session& session, const PacketRecord& record);
 /// sessions are time-disjoint), so sorted output is unique.
 [[nodiscard]] bool session_before(const Session& a, const Session& b);
 
-using RecordFilter = std::function<bool(const PacketRecord&)>;
+/// Which records an analysis reads: a set of traffic classes, whether
+/// research-scanner sources count, and one source shard of `shards`
+/// (util::shard_of, the partition ParallelPipeline analyses by). A plain
+/// value, so the test inlines into the per-record loops.
+struct RecordFilter {
+  std::uint8_t classes = 0;  ///< bit i passes TrafficClass i
+  bool include_research = false;
+  std::size_t shard = 0;
+  std::size_t shards = 1;
+
+  [[nodiscard]] bool operator()(const PacketRecord& record) const {
+    return ((classes >> static_cast<unsigned>(record.cls)) & 1U) != 0 &&
+           (include_research || !record.is_research) &&
+           util::shard_of(record.src.value(), shards) == shard;
+  }
+};
 
 /// Standard filters.
 RecordFilter quic_request_filter(bool include_research = false);

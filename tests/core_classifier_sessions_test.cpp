@@ -227,7 +227,9 @@ TEST(SessionsTest, AggregatesDistinctCountsAndVersions) {
   EXPECT_EQ(session.peers.size(), 3u);
   EXPECT_EQ(session.peer_ports.size(), 4u);
   EXPECT_EQ(session.scids.size(), 4u);  // fresh SCID per handshake
-  EXPECT_EQ(session.dominant_version(), 0xff00001du);
+  const std::vector<std::pair<std::uint32_t, std::uint64_t>> versions{
+      {0xff00001d, 4}};
+  EXPECT_EQ(session.version_counts, versions);
   EXPECT_EQ(session.kind_counts[static_cast<std::size_t>(
                 quic::QuicPacketKind::kInitial)],
             4u);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/correlate.hpp"
 #include "core/dos.hpp"
 
@@ -17,11 +19,14 @@ Session make_session(net::Ipv4Address source, util::Timestamp start,
   session.end = start + duration;
   session.packets = PacketCount{packets};
   const auto minutes = static_cast<std::size_t>(duration / util::kMinute) + 1;
-  session.minute_counts.assign(minutes, 0);
+  std::vector<std::uint32_t> minute_counts(minutes, 0);
   for (std::uint64_t i = 0; i < packets; ++i) {
-    session.minute_counts[static_cast<std::size_t>(
-        i * minutes / packets)]++;
+    minute_counts[static_cast<std::size_t>(i * minutes / packets)]++;
   }
+  session.minute_slot = static_cast<std::int64_t>(minutes - 1);
+  session.minute_count = minute_counts.back();
+  session.best_minute =
+      *std::max_element(minute_counts.begin(), minute_counts.end());
   return session;
 }
 

@@ -89,7 +89,7 @@ TEST(OnlineDetector, TimeoutSplitsSessions) {
 
 TEST(OnlineDetector, SweepBoundsOpenSessions) {
   OnlineDetectorConfig config;
-  config.filter = [](const PacketRecord&) { return true; };
+  config.filter = RecordFilter{.classes = 0xFF, .include_research = true};
   OnlineDetector detector(config);
   // 10k sources, one packet each, spread over hours: the sweep must keep
   // the open-session table near the per-window population.

@@ -114,14 +114,6 @@ TEST(PipelineTest, AnalyzeWithCustomThresholds) {
   EXPECT_EQ(relaxed.quic_attacks.size(), 1u);
 }
 
-TEST(SessionTest, DominantVersionWithNoVersions) {
-  Session session;
-  EXPECT_EQ(session.dominant_version(), 0u);
-  session.version_counts[1] = 3;
-  session.version_counts[0xff00001d] = 5;
-  EXPECT_EQ(session.dominant_version(), 0xff00001du);
-}
-
 TEST(DetectedAttackTest, OverlapPredicate) {
   DetectedAttack a;
   a.start = kT0;

@@ -3,8 +3,13 @@
 // and correlator consistency against the raw attack intervals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <functional>
 #include <map>
+#include <numeric>
 #include <set>
+#include <unordered_set>
 
 #include "core/correlate.hpp"
 #include "core/dos.hpp"
@@ -47,6 +52,39 @@ std::vector<PacketRecord> random_records(util::Rng& rng,
               return a.timestamp < b.timestamp;
             });
   return records;
+}
+
+/// The per-minute vector sessions kept before they tracked only the open
+/// minute: packets of `session`'s source inside [start, end] per slot
+/// (i·60s, (i+1)·60s] since the start, the start packet in slot 0. The
+/// oracle for the running peak state on time-ordered input.
+std::vector<std::uint32_t> minute_counts_of(
+    const Session& session, std::span<const PacketRecord> records) {
+  std::vector<std::uint32_t> counts;
+  for (const auto& record : records) {
+    if (record.src != session.source || record.timestamp < session.start ||
+        record.timestamp > session.end) {
+      continue;
+    }
+    const auto elapsed = record.timestamp - session.start;
+    const auto slot =
+        elapsed == util::Duration{}
+            ? std::size_t{0}
+            : static_cast<std::size_t>((elapsed - util::kMicrosecond) /
+                                       util::kMinute);
+    if (counts.size() <= slot) counts.resize(slot + 1, 0);
+    ++counts[slot];
+  }
+  return counts;
+}
+
+/// Gives a hand-built session the peak state absorb_record reaches when
+/// its minutes hold `counts` packets.
+void set_minute_counts(Session& session,
+                       const std::vector<std::uint32_t>& counts) {
+  session.minute_slot = static_cast<std::int64_t>(counts.size()) - 1;
+  session.minute_count = counts.back();
+  session.best_minute = *std::max_element(counts.begin(), counts.end());
 }
 
 TEST(SessionProperty, PacketsAreConserved) {
@@ -92,10 +130,10 @@ TEST(SessionProperty, SessionBoundsContainAllMinuteBins) {
       build_sessions(records, 5 * util::kMinute, quic_request_filter());
   for (const auto& session : sessions) {
     EXPECT_LE(session.start, session.end);
-    std::uint64_t binned = 0;
-    for (const auto count : session.minute_counts) binned += count;
-    EXPECT_EQ(binned, session.packets.count());
-    // The last bin index must match the duration: slots are
+    const auto counts = minute_counts_of(session, records);
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+              session.packets.count());
+    // The open slot must match the duration: slots are
     // (i*60s, (i+1)*60s] with the start packet in slot 0, so a duration
     // of exactly k minutes still ends in slot k-1.
     const auto expected_slots =
@@ -105,7 +143,12 @@ TEST(SessionProperty, SessionBoundsContainAllMinuteBins) {
                                         util::kMicrosecond) /
                                        util::kMinute) +
                   1;
-    EXPECT_EQ(session.minute_counts.size(), expected_slots);
+    EXPECT_EQ(counts.size(), expected_slots);
+    EXPECT_EQ(session.minute_slot,
+              static_cast<std::int64_t>(expected_slots) - 1);
+    EXPECT_EQ(session.minute_count, counts.back());
+    EXPECT_EQ(session.best_minute,
+              *std::max_element(counts.begin(), counts.end()));
   }
 }
 
@@ -135,8 +178,9 @@ TEST(SessionRegression, MinuteBoundaryPacketStaysInClosingMinute) {
   ASSERT_EQ(sessions.size(), 1u);
   const Session& session = sessions.front();
   EXPECT_EQ(session.duration(), util::kMinute);
-  ASSERT_EQ(session.minute_counts.size(), 1u);
-  EXPECT_EQ(session.minute_counts[0], 31u);
+  EXPECT_EQ(session.minute_slot, 0);
+  EXPECT_EQ(session.minute_count, 31u);
+  EXPECT_EQ(session.best_minute, 31u);
   EXPECT_DOUBLE_EQ(session.peak_pps().count(), 31.0 / 60.0);
 
   // One microsecond past the boundary genuinely starts the next minute.
@@ -146,9 +190,116 @@ TEST(SessionRegression, MinuteBoundaryPacketStaysInClosingMinute) {
   const auto extended =
       build_sessions(records, 5 * util::kMinute, quic_request_filter());
   ASSERT_EQ(extended.size(), 1u);
-  ASSERT_EQ(extended.front().minute_counts.size(), 2u);
-  EXPECT_EQ(extended.front().minute_counts[1], 1u);
+  EXPECT_EQ(extended.front().minute_slot, 1);
+  EXPECT_EQ(extended.front().minute_count, 1u);
+  EXPECT_EQ(extended.front().best_minute, 31u);
   EXPECT_DOUBLE_EQ(extended.front().peak_pps().count(), 31.0 / 60.0);
+}
+
+TEST(SessionProperty, RunningPeakMatchesPerMinuteVector) {
+  util::Rng rng(83);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<PacketRecord> records;
+    const auto start =
+        util::kApril2021Start + random_duration(rng, util::kHour);
+    auto t = start;
+    const auto packets = 1 + rng.uniform(400);
+    for (std::uint64_t i = 0; i < packets; ++i) {
+      PacketRecord record;
+      record.timestamp = t;
+      record.src = net::Ipv4Address(7);
+      records.push_back(record);
+      // Next gap: none, 1 µs, exactly to the next minute boundary since
+      // the start, or up to three minutes.
+      switch (rng.uniform(4)) {
+        case 0:
+          break;
+        case 1:
+          t += util::kMicrosecond;
+          break;
+        case 2:
+          t = start + ((t - start) / util::kMinute + 1) * util::kMinute;
+          break;
+        default:
+          t += random_duration(rng, 3 * util::kMinute);
+      }
+    }
+    Session session;
+    session.source = records.front().src;
+    session.start = start;
+    session.end = start;
+    for (const auto& record : records) absorb_record(session, record);
+
+    const auto counts = minute_counts_of(session, records);
+    ASSERT_EQ(std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}),
+              packets);
+    EXPECT_EQ(session.best_minute,
+              *std::max_element(counts.begin(), counts.end()));
+    EXPECT_EQ(session.minute_slot,
+              static_cast<std::int64_t>(counts.size()) - 1);
+    EXPECT_EQ(session.minute_count, counts.back());
+  }
+}
+
+TEST(FlatSetProperty, MatchesUnorderedSetOracle) {
+  util::Rng rng(79);
+  // Keys whose hash shares its low ten bits probe one chain at every
+  // capacity up to 1024 slots, starting in the last slot so the chain
+  // wraps to the first.
+  std::vector<std::uint64_t> colliding;
+  for (std::uint64_t key = 1; colliding.size() < 64; ++key) {
+    if ((util::mix64(key) & 1023) == 1023) colliding.push_back(key);
+  }
+  const std::vector<std::function<std::uint64_t()>> sources{
+      [&] { return rng.next(); },
+      [&] { return rng.uniform(1500); },  // duplicates and key 0
+      [&] { return colliding[rng.uniform(colliding.size())]; },
+      [&] { return rng.uniform(3) == 0 ? 0 : rng.next() >> 40; },
+  };
+  for (const auto& draw : sources) {
+    FlatSet set;
+    std::unordered_set<std::uint64_t> oracle;
+    std::vector<std::uint64_t> order;
+    for (int i = 0; i < 4000; ++i) {
+      const auto key = draw();
+      const bool inserted = oracle.insert(key).second;
+      ASSERT_EQ(set.insert(key), inserted);
+      ASSERT_EQ(set.size(), oracle.size());
+      if (inserted) order.push_back(key);
+      // Around every growth boundary, the whole contents.
+      const auto size = set.size();
+      if (std::has_single_bit(size) || std::has_single_bit(size - 1)) {
+        for (const auto present : oracle) ASSERT_TRUE(set.contains(present));
+        for (int probe = 0; probe < 32; ++probe) {
+          const auto absent = rng.next();
+          ASSERT_EQ(set.contains(absent), oracle.contains(absent));
+        }
+      }
+    }
+
+    // Equality ignores insertion order, and sees one key's difference.
+    std::shuffle(order.begin(), order.end(), rng);
+    FlatSet reordered;
+    for (const auto key : order) reordered.insert(key);
+    EXPECT_EQ(reordered, set);
+    FlatSet missing_one;
+    for (std::size_t i = 1; i < order.size(); ++i) missing_one.insert(order[i]);
+    EXPECT_NE(missing_one, set);
+    std::uint64_t outsider = 1;
+    while (oracle.contains(outsider)) ++outsider;
+    missing_one.insert(outsider);
+    EXPECT_EQ(missing_one.size(), set.size());
+    EXPECT_NE(missing_one, set);
+  }
+  FlatSet zero;
+  zero.insert(0);
+  FlatSet one;
+  one.insert(1);
+  EXPECT_EQ(zero.size(), 1u);
+  EXPECT_TRUE(zero.contains(0));
+  EXPECT_FALSE(one.contains(0));
+  EXPECT_NE(zero, one);
+  EXPECT_NE(zero, FlatSet{});
 }
 
 TEST(SessionProperty, ShardPartitionedSessionizationMergesToWhole) {
@@ -169,6 +320,12 @@ TEST(SessionProperty, ShardPartitionedSessionizationMergesToWhole) {
       for (std::size_t s = 0; s < shards; ++s) {
         sessions[s] = build_sessions(parts[s], 3 * util::kMinute,
                                      quic_request_filter());
+        // A shard filter over the whole stream reads the same records.
+        auto filter = quic_request_filter();
+        filter.shard = s;
+        filter.shards = shards;
+        EXPECT_EQ(build_sessions(records, 3 * util::kMinute, filter),
+                  sessions[s]);
       }
       const auto merged = merge_sessions(std::move(sessions));
       EXPECT_EQ(merged.sessions, whole);
@@ -233,10 +390,11 @@ TEST(DosProperty, DetectionIsMonotoneInWeight) {
     const auto minutes = 1 + rng.uniform(120);
     session.end = session.start + minutes * util::kMinute;
     session.packets = PacketCount{1 + rng.uniform(2000)};
-    session.minute_counts.assign(minutes + 1, 0);
+    std::vector<std::uint32_t> counts(minutes + 1, 0);
     for (std::uint64_t p = 0; p < session.packets.count(); ++p) {
-      ++session.minute_counts[rng.uniform(minutes + 1)];
+      ++counts[rng.uniform(minutes + 1)];
     }
+    set_minute_counts(session, counts);
     sessions.push_back(std::move(session));
   }
   std::size_t previous = sessions.size() + 1;
@@ -268,9 +426,9 @@ TEST(DosProperty, DetectedPlusExcludedCoverAllSessions) {
     const auto minutes = 1 + rng.uniform(30);
     session.end = session.start + minutes * util::kMinute;
     session.packets = PacketCount{1 + rng.uniform(500)};
-    session.minute_counts.assign(minutes + 1, 0);
-    session.minute_counts[0] =
-        static_cast<std::uint32_t>(session.packets.count());
+    std::vector<std::uint32_t> counts(minutes + 1, 0);
+    counts[0] = static_cast<std::uint32_t>(session.packets.count());
+    set_minute_counts(session, counts);
     sessions.push_back(std::move(session));
   }
   const auto attacks = detect_attacks(sessions, {});
