@@ -27,7 +27,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 struct ObsOutputs {
   std::string metrics_out;
-  std::string trace_out;
   std::string bench_out;
   std::vector<BenchResult> results;
 };
@@ -55,14 +54,11 @@ void init(int argc, char** argv) {
     };
     if (arg == "--metrics-out") {
       outputs.metrics_out = value();
-    } else if (arg == "--trace-out") {
-      outputs.trace_out = value();
     } else if (arg == "--bench-out") {
       outputs.bench_out = value();
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [--metrics-out FILE] [--trace-out FILE]"
-                   " [--bench-out FILE]\n";
+                << " [--metrics-out FILE] [--bench-out FILE]\n";
       std::exit(2);
     }
   }
@@ -71,11 +67,6 @@ void init(int argc, char** argv) {
 obs::MetricsRegistry& metrics() {
   static obs::MetricsRegistry registry;
   return registry;
-}
-
-obs::Tracer& tracer() {
-  static obs::Tracer instance;
-  return instance;
 }
 
 void append_bench_result(BenchResult result) {
@@ -90,14 +81,6 @@ void write_obs_outputs() {
                 << "]\n";
     } else {
       std::cerr << "cannot write " << outputs.metrics_out << "\n";
-    }
-  }
-  if (!outputs.trace_out.empty()) {
-    if (tracer().write_chrome_json_file(outputs.trace_out)) {
-      std::cout << "[trace written to " << outputs.trace_out
-                << " — load in chrome://tracing]\n";
-    } else {
-      std::cerr << "cannot write " << outputs.trace_out << "\n";
     }
   }
   if (!outputs.bench_out.empty() && !outputs.results.empty()) {
@@ -185,36 +168,28 @@ AnalyzedScenario run_scenario(const telescope::ScenarioConfig& config) {
   AnalyzedScenario result;
   result.config = config;
   auto options = pipeline_options(config);
-  // Every harness feeds the process-wide sinks; writing the files is
-  // opt-in via --metrics-out/--trace-out (see write_obs_outputs).
+  // Every harness feeds the process-wide registry; writing the file is
+  // opt-in via --metrics-out (see write_obs_outputs).
   options.obs.metrics = &metrics();
-  options.obs.tracer = &tracer();
   result.pipeline =
       std::make_unique<core::ParallelPipeline>(options, env_threads());
 
   // Classification overlaps generation on the worker pool; finish()
-  // drains it, so the generate timing covers ingest like the serial
-  // pipeline's did.
+  // drains it, so the generate timing covers ingest too.
   const auto generate_start = std::chrono::steady_clock::now();
   telescope::TelescopeGenerator generator(config, registry(), deployment());
-  {
-    obs::Span span(&tracer(), "bench.generate_ingest");
-    auto batch = result.pipeline->acquire_batch();
-    while (generator.next_batch(batch) > 0) {
-      result.pipeline->consume_batch(std::move(batch));
-      batch = result.pipeline->acquire_batch();
-    }
-    result.pipeline->finish();
+  auto batch = result.pipeline->acquire_batch();
+  while (generator.next_batch(batch) > 0) {
+    result.pipeline->consume_batch(std::move(batch));
+    batch = result.pipeline->acquire_batch();
   }
+  result.pipeline->finish();
   result.generate_seconds = seconds_since(generate_start);
 
   const auto analyze_start = std::chrono::steady_clock::now();
-  {
-    obs::Span span(&tracer(), "bench.analyze");
-    result.truth = generator.ground_truth();
-    result.intel = generator.make_intel_db();
-    result.analysis = result.pipeline->analyze_attacks();
-  }
+  result.truth = generator.ground_truth();
+  result.intel = generator.make_intel_db();
+  result.analysis = result.pipeline->analyze_attacks();
   result.analyze_seconds = seconds_since(analyze_start);
   return result;
 }

@@ -9,13 +9,12 @@
 //   QUICSAND_SEED  — scenario seed (default 2021)
 //   QUICSAND_TELESCOPE_BITS — telescope prefix length (default per-bench)
 //   QUICSAND_THREADS — analysis shards/threads (default: hardware).
-//     The parallel pipeline is bit-identical to the serial one for any
-//     value, so this only affects wall-clock time.
+//     The pipeline's products are the same for any value, so this only
+//     affects wall-clock time.
 //
 // Every harness also takes observability flags (parsed by init()):
 //
 //   --metrics-out FILE — write a JSON metrics snapshot after the run
-//   --trace-out FILE   — write a chrome://tracing / Perfetto trace
 //   --bench-out FILE   — append machine-readable benchmark datapoints
 //                        (also via env QUICSAND_BENCH_OUT); see
 //                        append_bench_result()
@@ -29,10 +28,9 @@
 #include <vector>
 
 #include "asdb/registry.hpp"
+#include "core/correlate.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 #include "threat/intel.hpp"
@@ -41,15 +39,13 @@
 
 namespace quicsand::bench {
 
-/// Parse the common observability flags (--metrics-out, --trace-out,
-/// --bench-out). Prints usage and exits(2) on unknown flags or missing
+/// Parse the common observability flags (--metrics-out, --bench-out). Prints usage and exits(2) on unknown flags or missing
 /// values. Call first in every harness main().
 void init(int argc, char** argv);
 
-/// Process-wide sinks; run_scenario attaches them to the pipeline, and
-/// harnesses can add their own metrics/spans.
+/// Process-wide metrics sink; run_scenario attaches it to the pipeline,
+/// and harnesses can add their own metrics.
 obs::MetricsRegistry& metrics();
-obs::Tracer& tracer();
 
 /// One machine-readable benchmark datapoint (BENCH_pipeline.json schema).
 struct BenchResult {
@@ -60,7 +56,7 @@ struct BenchResult {
 };
 void append_bench_result(BenchResult result);
 
-/// Write whatever --metrics-out/--trace-out/--bench-out requested. Call
+/// Write whatever --metrics-out/--bench-out requested. Call
 /// after run(); a no-op when no output was requested.
 void write_obs_outputs();
 
@@ -83,15 +79,15 @@ struct LightScenarioOptions {
 };
 telescope::ScenarioConfig light_scenario(const LightScenarioOptions& options);
 
-/// One fully generated + analyzed scenario. All harnesses run the
-/// sharded ParallelPipeline, whose products are bit-identical to the
-/// serial Pipeline (the differential tests in
-/// tests/core_parallel_pipeline_test.cpp enforce this).
+/// One fully generated + analyzed scenario, run through the
+/// ParallelPipeline with QUICSAND_THREADS shards. Its products are the
+/// same at every shard count (tests/core_parallel_pipeline_test.cpp
+/// checks shards 1, 2, 4 and 7 against the serial primitives).
 struct AnalyzedScenario {
   telescope::ScenarioConfig config;
   telescope::GroundTruth truth;
   std::unique_ptr<core::ParallelPipeline> pipeline;
-  core::Pipeline::AttackAnalysis analysis;
+  core::AttackAnalysis analysis;
   threat::IntelDb intel;
   double generate_seconds = 0;
   double analyze_seconds = 0;

@@ -13,14 +13,12 @@
 #include "util/parse.hpp"
 #include "core/classifier.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "telescope/generator.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/sha256.hpp"
 #include "net/headers.hpp"
 #include "quic/dissector.hpp"
 #include "quic/packets.hpp"
-#include "quic/ack_tracker.hpp"
 #include "quic/gquic.hpp"
 #include "quic/transport_params.hpp"
 #include "quic/varint.hpp"
@@ -181,16 +179,6 @@ void BM_TransportParamsRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportParamsRoundTrip);
 
-void BM_AckTracker_SparseInsert(benchmark::State& state) {
-  util::Rng rng(13);
-  for (auto _ : state) {
-    quic::AckTracker tracker;
-    for (int i = 0; i < 64; ++i) tracker.on_packet(rng.uniform(512));
-    benchmark::DoNotOptimize(tracker.build_ack(0));
-  }
-}
-BENCHMARK(BM_AckTracker_SparseInsert);
-
 void BM_ServerSim_Datagram(benchmark::State& state) {
   server::ServerConfig config;
   config.workers = 128;
@@ -211,10 +199,10 @@ void BM_ServerSim_Datagram(benchmark::State& state) {
 }
 BENCHMARK(BM_ServerSim_Datagram);
 
-// Serial vs parallel end-to-end analysis (classify + hourly binning +
-// sessionize + detect) on a one-day cut of the fig06 scenario. Arg(0)
-// runs the serial Pipeline; Arg(N) runs ParallelPipeline with N
-// shards/threads. items/sec is packets/sec.
+// End-to-end analysis (classify + hourly binning + sessionize + detect)
+// on a one-day cut of the fig06 scenario. Arg(N) runs ParallelPipeline
+// with N shards/threads; Arg(1) is the serial case. items/sec is
+// packets/sec.
 struct Fig06Workload {
   std::vector<net::RawPacket> packets;
   core::PipelineOptions options;
@@ -241,22 +229,14 @@ void BM_Pipeline_Fig06(benchmark::State& state) {
   const auto& workload = fig06_workload();
   const auto shards = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    if (shards == 0) {
-      core::Pipeline pipeline(workload.options);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    } else {
-      core::ParallelPipeline pipeline(workload.options, shards);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    }
+    core::ParallelPipeline pipeline(workload.options, shards);
+    for (const auto& packet : workload.packets) pipeline.consume(packet);
+    benchmark::DoNotOptimize(pipeline.analyze_attacks());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(workload.packets.size()));
-  state.SetLabel(state.range(0) == 0 ? "serial" : "parallel");
 }
 BENCHMARK(BM_Pipeline_Fig06)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -264,36 +244,26 @@ BENCHMARK(BM_Pipeline_Fig06)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Same workload with the obs sinks attached (a live metrics registry and
-// a tracer) — the acceptance gate for "instrumentation is near-free":
+// Same workload with a live metrics registry attached — the acceptance
+// gate for "instrumentation is near-free":
 // compare against the matching BM_Pipeline_Fig06 arg; the delta must stay
 // under 5% (recorded in EXPERIMENTS.md).
 void BM_Pipeline_Fig06_Observed(benchmark::State& state) {
   const auto& workload = fig06_workload();
   const auto shards = static_cast<std::size_t>(state.range(0));
   static obs::MetricsRegistry registry;
-  obs::Tracer tracer;
   auto options = workload.options;
   options.obs.metrics = &registry;
-  options.obs.tracer = &tracer;
   for (auto _ : state) {
-    tracer.clear();  // keep span memory bounded across iterations
-    if (shards == 0) {
-      core::Pipeline pipeline(options);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    } else {
-      core::ParallelPipeline pipeline(options, shards);
-      for (const auto& packet : workload.packets) pipeline.consume(packet);
-      benchmark::DoNotOptimize(pipeline.analyze_attacks());
-    }
+    core::ParallelPipeline pipeline(options, shards);
+    for (const auto& packet : workload.packets) pipeline.consume(packet);
+    benchmark::DoNotOptimize(pipeline.analyze_attacks());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(workload.packets.size()));
-  state.SetLabel(state.range(0) == 0 ? "serial+obs" : "parallel+obs");
 }
 BENCHMARK(BM_Pipeline_Fig06_Observed)
-    ->Arg(0)
+    ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
@@ -314,8 +284,7 @@ class BenchOutReporter : public benchmark::ConsoleReporter {
       const auto items = run.counters.find("items_per_second");
       result.records_per_s =
           items != run.counters.end() ? static_cast<double>(items->second) : 0;
-      // The benchmark arg is the shard count; 0 encodes the serial
-      // pipeline, i.e. one thread.
+      // The benchmark arg is the shard count.
       const auto slash = name.find('/');
       std::uint64_t shards = 0;
       if (slash != std::string::npos) {
@@ -341,8 +310,7 @@ int main(int argc, char** argv) {
   std::vector<char*> forwarded{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--bench-out" || arg == "--metrics-out" ||
-        arg == "--trace-out") {
+    if (arg == "--bench-out" || arg == "--metrics-out") {
       own.push_back(argv[i]);
       if (i + 1 < argc) own.push_back(argv[++i]);
     } else {

@@ -7,7 +7,8 @@
 #include <iostream>
 
 #include "asdb/registry.hpp"
-#include "core/pipeline.hpp"
+#include "core/correlate.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/victims.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
   options.days = config.days;
   options.research_prefixes.push_back(
       registry.prefixes_of(asdb::AsRegistry::kTumScanner).front());
-  core::Pipeline pipeline(options);
+  core::ParallelPipeline pipeline(options, /*shards=*/0);  // one per core
   generator.generate(
       [&](const net::RawPacket& packet) { pipeline.consume(packet); });
 

@@ -3,11 +3,12 @@
 #   1. configure + build the default preset
 #   2. run the tier-1 ctest label (every registered gtest suite)
 #   3. build the tsan preset and run the concurrency-sensitive suites
-#      (thread pool, parallel pipeline, obs registry/tracer/event log,
-#      health model, admin HTTP server) under ThreadSanitizer
+#      (thread pool, parallel pipeline, obs registry/event log, health
+#      model, admin HTTP server) under ThreadSanitizer
 #   4. build the asan and ubsan presets' fuzz drivers and run a bounded
 #      smoke (FUZZ_SMOKE_ITERATIONS per target, default 500) from the
-#      committed corpus — replays every committed crasher, then fuzzes
+#      committed corpus — replays every committed crasher, then fuzzes;
+#      the ubsan leg also runs the unit suites in $ubsan_tests
 #   5. run quicsand_lint over every first-party tree (also the `lint`
 #      ctest label), writing the JSON report CI uploads as an artifact;
 #      when clang is installed, run the thread-safety gate
@@ -39,6 +40,8 @@ fuzz_targets="fuzz_live_datagram fuzz_net_headers fuzz_pcap fuzz_pcapng \
 fuzz_quic_dissect fuzz_quic_header fuzz_quic_transport_params \
 fuzz_quic_varint"
 smoke_iters="${FUZZ_SMOKE_ITERATIONS:-500}"
+# Unit suites that must stay clean under the fatal ubsan preset.
+ubsan_tests="crypto_hmac_hkdf_test"
 
 echo "==> configure+build (default preset)"
 cmake --preset default
@@ -58,8 +61,7 @@ if [ "$run_tsan" = 1 ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs" --target \
     core_parallel_pipeline_test obs_latency_test obs_metrics_test \
-    obs_trace_test obs_events_test obs_health_test obs_http_test \
-    obs_tsdb_test \
+    obs_events_test obs_health_test obs_http_test obs_tsdb_test \
     net_live_ring_test net_live_error_test live_e2e_test \
     telescope_batch_diff_test net_record_batch_test util_sync_test
   echo "==> ctest tsan (parallel + obs + live + batch hand-off suites)"
@@ -78,6 +80,14 @@ if [ "$run_fuzz" = 1 ]; then
       "build-$preset/tests/fuzz/$target" \
         --iterations "$smoke_iters" --corpus "tests/corpus/$name"
     done
+    if [ "$preset" = ubsan ]; then
+      echo "==> unit suites (ubsan): $ubsan_tests"
+      # shellcheck disable=SC2086
+      cmake --build --preset ubsan -j "$jobs" --target $ubsan_tests
+      for test in $ubsan_tests; do
+        "build-ubsan/tests/$test"
+      done
+    fi
   done
 fi
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace quicsand::core {
 
@@ -34,22 +33,21 @@ RecordFilter shard_filter(RecordFilter filter, std::size_t shard,
 
 }  // namespace
 
-ParallelPipeline::ParallelPipeline(ParallelPipelineOptions options)
+ParallelPipeline::ParallelPipeline(PipelineOptions options,
+                                   std::size_t shards)
     : options_(std::move(options)),
-      shards_(resolve_shards(options_.shards)),
-      hours_(static_cast<std::size_t>(options_.base.days) * 24) {
-  if (options_.batch_size == 0) options_.batch_size = 4096;
+      shards_(resolve_shards(shards)),
+      hours_(static_cast<std::size_t>(options_.days) * 24) {
   worker_classifiers_.reserve(shards_);
   for (std::size_t i = 0; i < shards_; ++i) {
     worker_classifiers_.push_back(std::make_unique<Classifier>(
-        ClassifierConfig{options_.base.research_prefixes}));
+        ClassifierConfig{options_.research_prefixes}));
   }
   worker_hourly_.reserve(kHourlySlotCount);
   for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
     worker_hourly_.emplace_back(shards_, hours_);
   }
-  pending_.reserve(options_.batch_size);
-  if (auto* metrics = options_.base.obs.metrics) {
+  if (auto* metrics = options_.obs.metrics) {
     packets_counter_ = &metrics->counter(
         "pipeline.packets", "packets consumed by the pipeline");
     records_counter_ = &metrics->counter(
@@ -79,28 +77,37 @@ ParallelPipeline::ParallelPipeline(ParallelPipelineOptions options)
     metrics->gauge("parallel.shards", "analysis shards / worker threads")
         .set(static_cast<std::int64_t>(shards_));
   }
-  if (auto* health = options_.base.obs.health) {
+  if (auto* health = options_.obs.health) {
     health_ = &health->component("parallel_pipeline");
     health_->set_ready(true);
   }
   pool_ = std::make_unique<util::ThreadPool>(shards_);
 }
 
-ParallelPipeline::ParallelPipeline(PipelineOptions base, std::size_t shards)
-    : ParallelPipeline(
-          ParallelPipelineOptions{std::move(base), shards, 4096}) {}
-
 ParallelPipeline::~ParallelPipeline() {
   if (pool_) pool_->wait_idle();
 }
 
 void ParallelPipeline::consume(const net::RawPacket& packet) {
-  if (packets_counter_ != nullptr) packets_counter_->add();
-  pending_.push_back(packet);
+  if (!pending_.try_append(packet.timestamp, packet.data)) {
+    flush_pending();
+    pending_ = acquire_batch();
+    if (!pending_.has_room(packet.data.size())) {
+      // Larger than a whole arena (pcapng blocks reach 16 MiB): the
+      // packet gets a batch of its own size.
+      pending_ = net::RecordBatch(kBatchSize, packet.data.size());
+    }
+    (void)pending_.try_append(packet.timestamp, packet.data);
+  }
   if (pending_gauge_ != nullptr) {
     pending_gauge_->set(static_cast<std::int64_t>(pending_.size()));
   }
-  if (pending_.size() >= options_.batch_size) dispatch_batch();
+}
+
+void ParallelPipeline::flush_pending() {
+  if (pending_.empty()) return;
+  submit_batch(std::exchange(pending_, net::RecordBatch(0, 0)));
+  if (pending_gauge_ != nullptr) pending_gauge_->set(0);
 }
 
 net::RecordBatch ParallelPipeline::acquire_batch() {
@@ -112,7 +119,7 @@ net::RecordBatch ParallelPipeline::acquire_batch() {
       return batch;
     }
   }
-  return net::RecordBatch(options_.batch_size);
+  return net::RecordBatch(kBatchSize);
 }
 
 void ParallelPipeline::wait_for_inflight_slot(util::UniqueLock& lock) {
@@ -140,10 +147,14 @@ void ParallelPipeline::consume_batch(net::RecordBatch&& batch) {
     batch_pool_.push_back(std::move(batch));
     return;
   }
-  if (packets_counter_ != nullptr) packets_counter_->add(batch.size());
   // Flush any per-packet consume() stragglers first so the record stream
   // keeps global arrival order.
-  dispatch_batch();
+  flush_pending();
+  submit_batch(std::move(batch));
+}
+
+void ParallelPipeline::submit_batch(net::RecordBatch&& batch) {
+  if (packets_counter_ != nullptr) packets_counter_->add(batch.size());
   {
     const auto wait_start =
         backpressure_wait_us_ != nullptr ? steady_us() : 0;
@@ -164,14 +175,13 @@ void ParallelPipeline::consume_batch(net::RecordBatch&& batch) {
       queue_wait_us_->record(steady_us() - submit_us);
     }
     const auto batch_start = classify_batch_us_ != nullptr ? steady_us() : 0;
-    obs::Span span(options_.base.obs.tracer, "parallel.classify_batch");
     auto& classifier = *worker_classifiers_[worker];
     out->reserve(shared->size());
     for (std::size_t i = 0; i < shared->size(); ++i) {
       const auto view = shared->view(i);
       const auto record = classifier.classify(view.timestamp, view.data);
       if (!record) continue;
-      bin_hourly(*record, options_.base.window_start, hours_,
+      bin_hourly(*record, options_.window_start, hours_,
                  [this, worker](HourlySlot slot, std::size_t hour) {
                    worker_hourly_[static_cast<std::size_t>(slot)].add(worker,
                                                                       hour);
@@ -194,65 +204,11 @@ void ParallelPipeline::consume_batch(net::RecordBatch&& batch) {
   });
 }
 
-void ParallelPipeline::dispatch_batch() {
-  if (pending_.empty()) return;
-  {
-    const auto wait_start =
-        backpressure_wait_us_ != nullptr ? steady_us() : 0;
-    util::UniqueLock lock(inflight_mutex_);
-    wait_for_inflight_slot(lock);
-    if (backpressure_wait_us_ != nullptr) {
-      backpressure_wait_us_->record(steady_us() - wait_start);
-    }
-  }
-  if (batches_counter_ != nullptr) batches_counter_->add();
-  if (health_ != nullptr) health_->heartbeat();
-  batches_.emplace_back();
-  auto* out = &batches_.back();
-  auto batch =
-      std::make_shared<std::vector<net::RawPacket>>(std::move(pending_));
-  pending_.clear();
-  pending_.reserve(options_.batch_size);
-  if (pending_gauge_ != nullptr) pending_gauge_->set(0);
-  const auto submit_us = queue_wait_us_ != nullptr ? steady_us() : 0;
-  pool_->submit([this, out, batch, submit_us](std::size_t worker) {
-    if (queue_wait_us_ != nullptr) {
-      queue_wait_us_->record(steady_us() - submit_us);
-    }
-    const auto batch_start = classify_batch_us_ != nullptr ? steady_us() : 0;
-    obs::Span span(options_.base.obs.tracer, "parallel.classify_batch");
-    auto& classifier = *worker_classifiers_[worker];
-    out->reserve(batch->size());
-    for (const auto& packet : *batch) {
-      const auto record = classifier.classify(packet);
-      if (!record) continue;
-      bin_hourly(*record, options_.base.window_start, hours_,
-                 [this, worker](HourlySlot slot, std::size_t hour) {
-                   worker_hourly_[static_cast<std::size_t>(slot)].add(worker,
-                                                                      hour);
-                 });
-      if (!keep_for_analysis(*record)) continue;
-      out->push_back(*record);
-    }
-    if (records_counter_ != nullptr) {
-      records_counter_->add(out->size());
-    }
-    if (classify_batch_us_ != nullptr) {
-      classify_batch_us_->record(steady_us() - batch_start);
-    }
-    release_inflight_slot();
-  });
-}
-
 void ParallelPipeline::finish() {
   if (finished_) return;
-  dispatch_batch();
-  {
-    obs::Span span(options_.base.obs.tracer, "parallel.ingest_drain");
-    pool_->wait_idle();
-  }
+  flush_pending();
+  pool_->wait_idle();
 
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_ingest");
   for (const auto& classifier : worker_classifiers_) {
     stats_.merge_from(classifier->stats());
   }
@@ -263,13 +219,13 @@ void ParallelPipeline::finish() {
   for (const auto& batch : batches_) total += batch.size();
   records_.reserve(total);
   // Batches were dispatched in arrival order, so concatenating them
-  // reproduces the serial pipeline's record stream exactly.
+  // reproduces the arrival-order record stream exactly.
   for (auto& batch : batches_) {
     records_.insert(records_.end(), batch.begin(), batch.end());
   }
   batches_.clear();
   finished_ = true;
-  if (auto* metrics = options_.base.obs.metrics) {
+  if (auto* metrics = options_.obs.metrics) {
     publish_classifier_stats(stats_, *metrics);
   }
   if (health_ != nullptr) {
@@ -298,8 +254,6 @@ std::vector<std::vector<Session>> ParallelPipeline::sharded_sessions(
   finish();
   std::vector<std::vector<Session>> parts(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.base.obs.tracer,
-                   "parallel.sessionize.shard" + std::to_string(s));
     const auto start = sessionize_shard_us_ != nullptr ? steady_us() : 0;
     parts[s] =
         build_sessions(records_, timeout, shard_filter(filter, s, shards_));
@@ -313,21 +267,18 @@ std::vector<std::vector<Session>> ParallelPipeline::sharded_sessions(
 std::vector<Session> ParallelPipeline::request_sessions(
     util::Duration timeout) {
   auto parts = sharded_sessions(timeout, quic_request_filter());
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_sessions");
   return merge_sessions(std::move(parts)).sessions;
 }
 
 std::vector<Session> ParallelPipeline::response_sessions(
     util::Duration timeout) {
   auto parts = sharded_sessions(timeout, quic_response_filter());
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_sessions");
   return merge_sessions(std::move(parts)).sessions;
 }
 
 std::vector<Session> ParallelPipeline::common_sessions(
     util::Duration timeout) {
   auto parts = sharded_sessions(timeout, common_backscatter_filter());
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_sessions");
   return merge_sessions(std::move(parts)).sessions;
 }
 
@@ -337,12 +288,9 @@ ParallelPipeline::session_timeout_sweep(
   finish();
   std::vector<GapProfile> profiles(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.base.obs.tracer,
-                   "parallel.gap_profile.shard" + std::to_string(s));
     profiles[s] = collect_gap_profile(
         records_, shard_filter(sanitized_quic_filter(), s, shards_));
   });
-  obs::Span span(options_.base.obs.tracer, "parallel.merge_gap_profiles");
   GapProfile merged;
   for (auto& profile : profiles) {
     merge_gap_profiles(merged, std::move(profile));
@@ -350,14 +298,14 @@ ParallelPipeline::session_timeout_sweep(
   return sweep_counts(std::move(merged), timeouts);
 }
 
-Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks() {
-  return analyze_attacks(options_.base.thresholds);
+AttackAnalysis ParallelPipeline::analyze_attacks() {
+  return analyze_attacks(options_.thresholds);
 }
 
-Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
+AttackAnalysis ParallelPipeline::analyze_attacks(
     const DosThresholds& thresholds) {
   finish();
-  const auto timeout = options_.base.session_timeout;
+  const auto timeout = options_.session_timeout;
 
   struct ShardAnalysis {
     std::vector<Session> response, common;
@@ -365,8 +313,6 @@ Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
   };
   std::vector<ShardAnalysis> outs(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
-    obs::Span span(options_.base.obs.tracer,
-                   "parallel.analyze.shard" + std::to_string(s));
     const auto start = analyze_shard_us_ != nullptr ? steady_us() : 0;
     auto& out = outs[s];
     out.response = build_sessions(
@@ -381,9 +327,8 @@ Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
     }
   });
 
-  obs::Span merge_span(options_.base.obs.tracer, "parallel.merge_analysis");
   const auto merge_start_us =
-      options_.base.obs.metrics != nullptr ? steady_us() : 0;
+      options_.obs.metrics != nullptr ? steady_us() : 0;
 
   std::vector<std::vector<Session>> response_parts(shards_);
   std::vector<std::vector<Session>> common_parts(shards_);
@@ -396,7 +341,7 @@ Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
     common_attack_parts[s] = std::move(outs[s].common_attacks);
   }
 
-  Pipeline::AttackAnalysis analysis;
+  AttackAnalysis analysis;
   auto response_merge = merge_sessions(std::move(response_parts));
   analysis.quic_attacks =
       merge_attacks(std::move(quic_parts), response_merge.global_index);
@@ -406,7 +351,7 @@ Pipeline::AttackAnalysis ParallelPipeline::analyze_attacks(
       merge_attacks(std::move(common_attack_parts), common_merge.global_index);
   analysis.common_sessions = std::move(common_merge.sessions);
 
-  if (auto* metrics = options_.base.obs.metrics) {
+  if (auto* metrics = options_.obs.metrics) {
     metrics
         ->latency("parallel.merge_analysis_us",
                   "wall time of the final session/attack merge")

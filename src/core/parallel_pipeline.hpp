@@ -1,13 +1,18 @@
-// Sharded, multi-threaded variant of the serial analysis Pipeline.
+// The offline QUICsand analysis pipeline.
 //
-// Ingest classifies fixed-size packet batches on a worker pool: each
-// worker owns a Classifier and a row of hourly ShardedCounters, merged by
-// summation when ingest finishes. The analyses then shard the record
-// stream by hash(source IP) % N; sessionization and DoS detection are
-// purely source-local (§5.1), so every shard runs the serial inner loops
-// over the one record array, filtered to its own sources, and the merged
-// output is bit-identical to the serial Pipeline regardless of shard
-// count. See DESIGN.md "Parallel execution model" for the determinism
+// Feed it captured packets (from a pcap file or the telescope generator);
+// it classifies them, keeps compact records for the analysis stages, and
+// exposes the hourly series, sessionization, DoS detection and timeout
+// sweep that the figure harnesses consume.
+//
+// Ingest classifies packet batches on a worker pool: each worker owns a
+// Classifier and a row of hourly ShardedCounters, merged by summation
+// when ingest finishes. The analyses then shard the record stream by
+// hash(source IP) % N; sessionization and DoS detection are purely
+// source-local (§5.1), so every shard runs the serial inner loops over
+// the one record array, filtered to its own sources, and the merged
+// output is the same for every shard count. shards = 1 is the serial
+// case. See DESIGN.md "Parallel execution model" for the determinism
 // argument.
 #pragma once
 
@@ -32,30 +37,27 @@ namespace quicsand::core {
 /// QS_GUARDED_BY/QS_REQUIRES here makes the probe build, CI fails.
 struct TsaNegativeProbe;
 
-struct ParallelPipelineOptions {
-  PipelineOptions base;
-  /// Worker threads == analysis shards. 0 means hardware concurrency.
-  std::size_t shards = 0;
-  /// Packets classified per worker task.
-  std::size_t batch_size = 4096;
-};
-
 class ParallelPipeline {
  public:
-  explicit ParallelPipeline(ParallelPipelineOptions options);
-  ParallelPipeline(PipelineOptions base, std::size_t shards);
+  /// Packets classified per worker task.
+  static constexpr std::size_t kBatchSize = 4096;
+
+  /// `shards` worker threads == analysis shards; 0 means hardware
+  /// concurrency.
+  ParallelPipeline(PipelineOptions options, std::size_t shards);
   ~ParallelPipeline();
 
   ParallelPipeline(const ParallelPipeline&) = delete;
   ParallelPipeline& operator=(const ParallelPipeline&) = delete;
 
-  /// Ingest one packet (must arrive in time order). Classification runs
-  /// on the pool, overlapping with the caller's capture/generation loop.
+  /// Ingest one packet (must arrive in time order). The packet is copied
+  /// into a pending batch, which goes to consume_batch() when full, so
+  /// classification overlaps the caller's capture/generation loop.
   void consume(const net::RawPacket& packet);
 
-  /// Take a recycled (empty) batch from the pool, or a fresh one sized
-  /// to options().batch_size on first use. Fill it with packets in time
-  /// order and hand it back via consume_batch().
+  /// Take a recycled (empty) batch from the pool, or a fresh one of
+  /// kBatchSize packets on first use. Fill it with packets in time order
+  /// and hand it back via consume_batch().
   [[nodiscard]] net::RecordBatch acquire_batch();
 
   /// Ingest a whole batch: classification of the batch runs as one pool
@@ -65,7 +67,7 @@ class ParallelPipeline {
   /// global time order.
   void consume_batch(net::RecordBatch&& batch);
 
-  /// Flush pending batches and merge per-worker state. Idempotent; every
+  /// Flush the pending batch and merge per-worker state. Idempotent; every
   /// analysis accessor calls it, after which consume() must not be
   /// called again.
   void finish();
@@ -73,33 +75,37 @@ class ParallelPipeline {
   [[nodiscard]] const ClassifierStats& stats();
   [[nodiscard]] const HourlySeries& hourly();
 
-  /// Sanitized records in arrival order, identical to the serial
-  /// pipeline's record stream.
+  /// Sanitized records (research scanners and kOther dropped) in arrival
+  /// order, the same for every shard count.
   [[nodiscard]] std::span<const PacketRecord> records();
 
   std::vector<Session> request_sessions(util::Duration timeout);
   std::vector<Session> response_sessions(util::Duration timeout);
   std::vector<Session> common_sessions(util::Duration timeout);
 
+  /// Figure 4 sweep over the sanitized QUIC records (both directions).
   std::vector<std::pair<util::Duration, std::uint64_t>>
   session_timeout_sweep(std::span<const util::Duration> timeouts);
 
-  Pipeline::AttackAnalysis analyze_attacks();
-  Pipeline::AttackAnalysis analyze_attacks(const DosThresholds& thresholds);
+  /// Detected attacks at options().thresholds, or at `thresholds`.
+  AttackAnalysis analyze_attacks();
+  AttackAnalysis analyze_attacks(const DosThresholds& thresholds);
 
-  [[nodiscard]] const PipelineOptions& options() const {
-    return options_.base;
-  }
+  [[nodiscard]] const PipelineOptions& options() const { return options_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_; }
 
  private:
   friend struct TsaNegativeProbe;
 
-  void dispatch_batch();
+  /// Classify `batch` as one pool task; the batch is recycled into the
+  /// pool afterwards. The one ingest path behind consume() and
+  /// consume_batch().
+  void submit_batch(net::RecordBatch&& batch);
+  /// Hand the batch consume() is filling to submit_batch(), if any.
+  void flush_pending();
   /// Block until fewer than 4 * shards_ batches are in flight, then
   /// claim a slot (increments inflight_, publishes the gauge). Caller
-  /// holds inflight_mutex_ via `lock` — both ingest paths share this
-  /// backpressure gate.
+  /// holds inflight_mutex_ via `lock`.
   void wait_for_inflight_slot(util::UniqueLock& lock)
       QS_REQUIRES(inflight_mutex_);
   /// Return a claimed slot and wake blocked producers; takes
@@ -108,7 +114,7 @@ class ParallelPipeline {
   std::vector<std::vector<Session>> sharded_sessions(
       util::Duration timeout, const RecordFilter& filter);
 
-  ParallelPipelineOptions options_;
+  PipelineOptions options_;
   std::size_t shards_;
   std::size_t hours_;
 
@@ -118,14 +124,16 @@ class ParallelPipeline {
 
   // Ingest: the main thread appends an output slot per batch before
   // submitting it, so workers write disjoint, stable deque elements.
-  std::vector<net::RawPacket> pending_;
+  // pending_ is the batch consume() fills; a zero-capacity placeholder
+  // until the first consume(), so batch-only callers never allocate it.
+  net::RecordBatch pending_{0, 0};
   std::deque<std::vector<PacketRecord>> batches_;
   util::Mutex inflight_mutex_{util::LockRank::kPipelineInflight,
                               "pipeline_inflight"};
   util::CondVar inflight_cv_;
   std::size_t inflight_ QS_GUARDED_BY(inflight_mutex_) = 0;
 
-  // Recycled RecordBatch pool for the batched ingest path. Workers take
+  // Recycled RecordBatch pool. Workers take
   // pool_mutex_ and inflight_mutex_ strictly sequentially (never
   // nested), so both are leaf ranks.
   util::Mutex pool_mutex_{util::LockRank::kPipelineBatchPool,
@@ -139,7 +147,7 @@ class ParallelPipeline {
   std::vector<PacketRecord> records_;
 
   // Observability handles, resolved once at construction; all nullptr
-  // when no registry is attached (options_.base.obs).
+  // when no registry is attached (options_.obs).
   obs::Counter* packets_counter_ = nullptr;
   obs::Counter* records_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;

@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace quicsand::core {
 
@@ -23,82 +22,6 @@ void publish_classifier_stats(const ClassifierStats& stats,
                traffic_class_name(static_cast<TrafficClass>(c)))
         .set(static_cast<std::int64_t>(stats.by_class[c]));
   }
-}
-
-Pipeline::Pipeline(PipelineOptions options)
-    : options_(std::move(options)),
-      classifier_(ClassifierConfig{options_.research_prefixes}) {
-  const auto hours = static_cast<std::size_t>(options_.days) * 24;
-  hourly_.research_quic.resize(hours, 0);
-  hourly_.other_quic.resize(hours, 0);
-  hourly_.quic_requests.resize(hours, 0);
-  hourly_.quic_responses.resize(hours, 0);
-  if (options_.obs.metrics != nullptr) {
-    packets_counter_ = &options_.obs.metrics->counter(
-        "pipeline.packets", "packets consumed by the pipeline");
-    records_counter_ = &options_.obs.metrics->counter(
-        "pipeline.records", "sanitized records kept for analysis");
-  }
-}
-
-void Pipeline::consume(const net::RawPacket& packet) {
-  consume(packet.timestamp, packet.data);
-}
-
-void Pipeline::consume(util::Timestamp timestamp,
-                       std::span<const std::uint8_t> data) {
-  if (packets_counter_ != nullptr) packets_counter_->add();
-  const auto record = classifier_.classify(timestamp, data);
-  if (!record) return;
-
-  bin_hourly(*record, options_.window_start, hourly_.research_quic.size(),
-             [this](HourlySlot slot, std::size_t hour) {
-               ++hourly_.of(slot)[hour];
-             });
-
-  // Keep only the records the later stages need: sanitized QUIC traffic
-  // plus TCP/ICMP scans and backscatter.
-  if (!keep_for_analysis(*record)) return;
-  if (records_counter_ != nullptr) records_counter_->add();
-  records_.push_back(*record);
-}
-
-std::vector<std::pair<util::Duration, std::uint64_t>>
-Pipeline::session_timeout_sweep(
-    std::span<const util::Duration> timeouts) const {
-  obs::Span span(options_.obs.tracer, "pipeline.timeout_sweep");
-  return timeout_sweep(records_, timeouts, sanitized_quic_filter());
-}
-
-Pipeline::AttackAnalysis Pipeline::analyze_attacks() const {
-  return analyze_attacks(options_.thresholds);
-}
-
-Pipeline::AttackAnalysis Pipeline::analyze_attacks(
-    const DosThresholds& thresholds) const {
-  if (options_.obs.metrics != nullptr) {
-    publish_classifier_stats(stats(), *options_.obs.metrics);
-  }
-  AttackAnalysis analysis;
-  {
-    obs::Span span(options_.obs.tracer, "pipeline.sessionize");
-    analysis.response_sessions = response_sessions(options_.session_timeout);
-    analysis.common_sessions = common_sessions(options_.session_timeout);
-  }
-  {
-    obs::Span span(options_.obs.tracer, "pipeline.detect");
-    analysis.quic_attacks =
-        detect_attacks(analysis.response_sessions, thresholds);
-    analysis.common_attacks =
-        detect_attacks(analysis.common_sessions, thresholds);
-  }
-  if (options_.obs.metrics != nullptr) {
-    options_.obs.metrics->gauge("pipeline.quic_attacks")
-        .set(static_cast<std::int64_t>(analysis.quic_attacks.size()));
-    options_.obs.metrics->gauge("pipeline.common_attacks")
-        .set(static_cast<std::int64_t>(analysis.common_attacks.size()));
-  }
-  return analysis;
 }
 
 }  // namespace quicsand::core

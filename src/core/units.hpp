@@ -4,7 +4,7 @@
 // adjacent arithmetic; tagging each axis makes a unit mix-up (comparing a
 // packet count against a pps threshold, say) a compile error instead of a
 // silently different attack count. Time axes live in util/time.hpp
-// (Timestamp, Duration, MinuteBin, HourBin).
+// (Timestamp, Duration, HourBin).
 #pragma once
 
 #include <cstdint>

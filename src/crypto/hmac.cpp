@@ -1,6 +1,6 @@
 #include "crypto/hmac.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace quicsand::crypto {
 
@@ -8,9 +8,10 @@ HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, Sha256::kBlockSize> block_key{};
   if (key.size() > Sha256::kBlockSize) {
     const auto digest = Sha256::hash(key);
-    std::memcpy(block_key.data(), digest.data(), digest.size());
+    std::copy(digest.begin(), digest.end(), block_key.begin());
   } else {
-    std::memcpy(block_key.data(), key.data(), key.size());
+    // std::copy, not memcpy: an empty key may carry a null data pointer.
+    std::copy(key.begin(), key.end(), block_key.begin());
   }
 
   std::array<std::uint8_t, Sha256::kBlockSize> ipad_key{};

@@ -35,6 +35,8 @@ void Sha256::reset() {
 }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null data pointer, which memcpy rejects.
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

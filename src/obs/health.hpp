@@ -6,9 +6,8 @@
 // from their hot loop. A heartbeat is two relaxed atomic stores plus one
 // monotonic clock read — cheap enough to call every few thousand packets.
 // Nothing runs in the background: the watchdog is evaluated at read time
-// (snapshot()/to_json()), using the same injectable microsecond clock the
-// tracer uses, so tests drive stale-heartbeat transitions with a manual
-// clock and no sleeps.
+// (snapshot()/to_json()), using an injectable microsecond clock, so tests
+// drive stale-heartbeat transitions with a manual clock and no sleeps.
 //
 // State machine per component (age = now - last heartbeat):
 //

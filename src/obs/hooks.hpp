@@ -14,14 +14,12 @@ class Counter;
 class Gauge;
 class Histogram;
 class LatencyHistogram;
-class Tracer;
 class EventLog;
 class Health;
 class TimeSeriesStore;
 
 struct Hooks {
   MetricsRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
   EventLog* events = nullptr;
   /// Liveness registry: long-running stages register a component and
   /// heartbeat it so /healthz can flag a stalled stage (see health.hpp).

@@ -96,7 +96,6 @@ enum class LockRank : int {
   kPipelineInflight = 910,
   kPipelineBatchPool = 920,
   kMetrics = 930,
-  kTracer = 940,
   kHealth = 950,
   kTsdb = 960,
 };

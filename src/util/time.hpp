@@ -31,10 +31,6 @@ struct HourBinTag {};
 /// Index of a 1-hour bin relative to some origin.
 using HourBin = Strong<HourBinTag, std::int64_t>;
 
-struct MinuteBinTag {};
-/// Index of a 1-minute bin relative to some origin.
-using MinuteBin = Strong<MinuteBinTag, std::int64_t>;
-
 constexpr Duration kMicrosecond{1};
 constexpr Duration kMillisecond = 1000 * kMicrosecond;
 constexpr Duration kSecond = 1000 * kMillisecond;
@@ -86,13 +82,6 @@ constexpr std::int64_t checked_offset(Timestamp t, Timestamp origin) {
 constexpr HourBin hour_bin(Timestamp t, Timestamp origin) {
   return HourBin{detail::floor_div(detail::checked_offset(t, origin),
                                    kHour.count())};
-}
-
-/// Index of the 1-minute bin containing `t`, relative to `origin`.
-/// Overflow-checked; pre-origin timestamps land in negative bins.
-constexpr MinuteBin minute_bin(Timestamp t, Timestamp origin) {
-  return MinuteBin{detail::floor_div(detail::checked_offset(t, origin),
-                                     kMinute.count())};
 }
 
 /// Seconds since UTC midnight for the day containing `t`.

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "core/online.hpp"
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 
@@ -119,7 +119,7 @@ TEST(OnlineDetector, MatchesBatchDetectorOnScenario) {
   PipelineOptions options;
   options.window_start = scenario.start;
   options.days = scenario.days;
-  Pipeline pipeline(options);
+  ParallelPipeline pipeline(options, 1);
 
   OnlineDetector online({});
   std::vector<DetectedAttack> online_attacks;

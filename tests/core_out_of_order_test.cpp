@@ -8,7 +8,6 @@
 
 #include "core/online.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "net/headers.hpp"
 #include "quic/packets.hpp"
 #include "util/rng.hpp"
@@ -108,14 +107,19 @@ TEST(OutOfOrder, ParallelPipelineMatchesSerialOnOlderRecord) {
   PipelineOptions options;
   options.window_start = util::kApril2021Start;
   options.days = 1;
-  Pipeline serial(options);
+  // The serial primitives over the classified probe.
+  Classifier classifier({});
   util::Rng serial_rng(5);
-  serial.consume(response_packet(kT0, serial_rng));
-  serial.consume(response_packet(kLate, serial_rng));
-  const auto expected = serial.analyze_attacks();
-  ASSERT_EQ(expected.response_sessions.size(), 1u);
-  expect_probe_session(expected.response_sessions[0]);
-  EXPECT_TRUE(expected.quic_attacks.empty());
+  std::vector<PacketRecord> records;
+  for (const auto t : {kT0, kLate}) {
+    const auto record = classifier.classify(response_packet(t, serial_rng));
+    ASSERT_TRUE(record.has_value());
+    records.push_back(*record);
+  }
+  const auto expected = build_sessions(records, options.session_timeout,
+                                       quic_response_filter());
+  ASSERT_EQ(expected.size(), 1u);
+  expect_probe_session(expected[0]);
 
   for (const std::size_t shards : {1u, 2u, 4u}) {
     ParallelPipeline parallel(options, shards);
@@ -123,7 +127,7 @@ TEST(OutOfOrder, ParallelPipelineMatchesSerialOnOlderRecord) {
     parallel.consume(response_packet(kT0, rng));
     parallel.consume(response_packet(kLate, rng));
     const auto analysis = parallel.analyze_attacks();
-    EXPECT_EQ(analysis.response_sessions, expected.response_sessions);
+    EXPECT_EQ(analysis.response_sessions, expected);
     EXPECT_TRUE(analysis.quic_attacks.empty());
   }
 }

@@ -1,9 +1,12 @@
-// Differential serial-vs-parallel harness: ParallelPipeline must produce
-// byte-identical analysis products to the serial Pipeline — hourly
-// series, classifier stats, record stream, session lists, timeout sweep
-// and detected attacks — for every shard count, including non-powers of
-// two. Also exercises the ThreadPool and ShardedCounter primitives the
-// parallel path is built on (run these under the `tsan` preset).
+// Oracle harness: at every shard count, including non-powers of two,
+// ParallelPipeline must reproduce the serial primitives it is built from
+// — a bare Classifier + bin_hourly + keep_for_analysis loop for the
+// classifier stats, hourly series and record stream, and build_sessions,
+// detect_attacks and timeout_sweep over that record stream for the
+// session lists, attacks and Figure 4 sweep. A few oracle totals are
+// pinned so the oracle itself cannot drift unnoticed. Also exercises the
+// ThreadPool and ShardedCounter primitives the pipeline is built on (run
+// these under the `tsan` preset).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +15,6 @@
 
 #include "asdb/registry.hpp"
 #include "core/parallel_pipeline.hpp"
-#include "core/pipeline.hpp"
 #include "scanner/deployment.hpp"
 #include "telescope/generator.hpp"
 #include "util/sharded_counter.hpp"
@@ -131,23 +133,48 @@ const TestScenario& scenario() {
   return instance;
 }
 
-Pipeline& serial_pipeline() {
-  static Pipeline instance = [] {
-    Pipeline pipeline(scenario().options);
-    for (const auto& packet : scenario().packets) pipeline.consume(packet);
-    return pipeline;
+/// The serial computation ParallelPipeline distributes, written out
+/// with the primitives directly.
+struct Oracle {
+  ClassifierStats stats;
+  HourlySeries hourly;
+  std::vector<PacketRecord> records;
+
+  [[nodiscard]] std::vector<Session> sessions(util::Duration timeout,
+                                              const RecordFilter& filter) const {
+    return build_sessions(records, timeout, filter);
+  }
+};
+
+const Oracle& oracle() {
+  static const Oracle instance = [] {
+    const auto& options = scenario().options;
+    Classifier classifier(ClassifierConfig{options.research_prefixes});
+    Oracle oracle;
+    const auto hours = static_cast<std::size_t>(options.days) * 24;
+    for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
+      oracle.hourly.of(static_cast<HourlySlot>(slot)).assign(hours, 0);
+    }
+    for (const auto& packet : scenario().packets) {
+      const auto record = classifier.classify(packet);
+      if (!record) continue;
+      bin_hourly(*record, options.window_start, hours,
+                 [&](HourlySlot slot, std::size_t hour) {
+                   ++oracle.hourly.of(slot)[hour];
+                 });
+      if (keep_for_analysis(*record)) oracle.records.push_back(*record);
+    }
+    oracle.stats = classifier.stats();
+    return oracle;
   }();
   return instance;
 }
 
+/// Fed packet by packet, so consume()'s pending batch carries the
+/// stream into the pool in many kBatchSize batches.
 std::unique_ptr<ParallelPipeline> parallel_pipeline(std::size_t shards) {
-  ParallelPipelineOptions options;
-  options.base = scenario().options;
-  options.shards = shards;
-  // Small batches so multiple classification tasks are actually in
-  // flight even on the one-day scenario.
-  options.batch_size = 512;
-  auto pipeline = std::make_unique<ParallelPipeline>(std::move(options));
+  auto pipeline =
+      std::make_unique<ParallelPipeline>(scenario().options, shards);
   for (const auto& packet : scenario().packets) pipeline->consume(packet);
   pipeline->finish();
   return pipeline;
@@ -164,49 +191,69 @@ void expect_stats_equal(const ClassifierStats& a, const ClassifierStats& b) {
 
 constexpr std::size_t kShardCounts[] = {1, 2, 4, 7};
 
+TEST(ParallelPipelineDifferentialTest, OracleTotalsArePinned) {
+  // Golden totals of the oracle on the fixed-seed scenario: a change to
+  // the generator, classifier, sessionizer or detector shows up here
+  // even when ParallelPipeline moves with it.
+  const auto& expected = oracle();
+  const auto timeout = scenario().options.session_timeout;
+  const auto response = expected.sessions(timeout, quic_response_filter());
+  const auto common = expected.sessions(timeout, common_backscatter_filter());
+  EXPECT_EQ(expected.stats.total, 746548u);
+  EXPECT_EQ(expected.stats.research, 414u);
+  EXPECT_EQ(expected.records.size(), 746134u);
+  EXPECT_EQ(response.size(), 264u);
+  EXPECT_EQ(common.size(), 176u);
+  EXPECT_EQ(detect_attacks(response, {}).size(), 46u);
+  EXPECT_EQ(detect_attacks(common, {}).size(), 162u);
+}
+
 TEST(ParallelPipelineDifferentialTest, StatsHourlyAndRecordsMatchSerial) {
-  Pipeline& serial = serial_pipeline();
-  ASSERT_FALSE(serial.records().empty());
+  const auto& expected = oracle();
+  // Several batches per worker, so classification really runs in
+  // parallel at every shard count below.
+  ASSERT_GT(scenario().packets.size(), 8 * ParallelPipeline::kBatchSize);
+  ASSERT_FALSE(expected.records.empty());
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     auto parallel = parallel_pipeline(shards);
-    expect_stats_equal(parallel->stats(), serial.stats());
-    EXPECT_EQ(parallel->hourly().research_quic, serial.hourly().research_quic);
-    EXPECT_EQ(parallel->hourly().other_quic, serial.hourly().other_quic);
-    EXPECT_EQ(parallel->hourly().quic_requests, serial.hourly().quic_requests);
+    expect_stats_equal(parallel->stats(), expected.stats);
+    EXPECT_EQ(parallel->hourly().research_quic, expected.hourly.research_quic);
+    EXPECT_EQ(parallel->hourly().other_quic, expected.hourly.other_quic);
+    EXPECT_EQ(parallel->hourly().quic_requests, expected.hourly.quic_requests);
     EXPECT_EQ(parallel->hourly().quic_responses,
-              serial.hourly().quic_responses);
+              expected.hourly.quic_responses);
     const auto records = parallel->records();
-    ASSERT_EQ(records.size(), serial.records().size());
+    ASSERT_EQ(records.size(), expected.records.size());
     EXPECT_TRUE(std::equal(records.begin(), records.end(),
-                           serial.records().begin()));
+                           expected.records.begin()));
   }
 }
 
 TEST(ParallelPipelineDifferentialTest, SessionListsMatchSerial) {
-  Pipeline& serial = serial_pipeline();
+  const auto& expected = oracle();
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     auto parallel = parallel_pipeline(shards);
     for (const auto timeout : {util::kMinute, 5 * util::kMinute}) {
       EXPECT_EQ(parallel->request_sessions(timeout),
-                serial.request_sessions(timeout));
+                expected.sessions(timeout, quic_request_filter()));
       EXPECT_EQ(parallel->response_sessions(timeout),
-                serial.response_sessions(timeout));
+                expected.sessions(timeout, quic_response_filter()));
       EXPECT_EQ(parallel->common_sessions(timeout),
-                serial.common_sessions(timeout));
+                expected.sessions(timeout, common_backscatter_filter()));
     }
   }
 }
 
 TEST(ParallelPipelineDifferentialTest, TimeoutSweepMatchesSerial) {
-  Pipeline& serial = serial_pipeline();
   std::vector<util::Duration> timeouts;
   for (const int minutes : {1, 2, 5, 10, 30, 60}) {
     timeouts.push_back(minutes * util::kMinute);
   }
   timeouts.push_back(std::numeric_limits<util::Duration>::max());
-  const auto expected = serial.session_timeout_sweep(timeouts);
+  const auto expected =
+      timeout_sweep(oracle().records, timeouts, sanitized_quic_filter());
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     EXPECT_EQ(parallel_pipeline(shards)->session_timeout_sweep(timeouts),
@@ -215,22 +262,27 @@ TEST(ParallelPipelineDifferentialTest, TimeoutSweepMatchesSerial) {
 }
 
 TEST(ParallelPipelineDifferentialTest, AttackAnalysisMatchesSerial) {
-  Pipeline& serial = serial_pipeline();
-  const auto expected = serial.analyze_attacks();
-  ASSERT_FALSE(expected.quic_attacks.empty());
-  ASSERT_FALSE(expected.common_attacks.empty());
+  const auto timeout = scenario().options.session_timeout;
+  const auto response = oracle().sessions(timeout, quic_response_filter());
+  const auto common = oracle().sessions(timeout, common_backscatter_filter());
+  const DosThresholds defaults;
+  const auto quic_attacks = detect_attacks(response, defaults);
+  const auto common_attacks = detect_attacks(common, defaults);
+  // Weighted thresholds (the Figure 10 sweep) must agree as well.
+  const auto strict = DosThresholds{}.weighted(0.5);
+  const auto strict_attacks = detect_attacks(response, strict);
+  ASSERT_FALSE(quic_attacks.empty());
+  ASSERT_FALSE(common_attacks.empty());
+  ASSERT_NE(strict_attacks.size(), quic_attacks.size());
   for (const auto shards : kShardCounts) {
     SCOPED_TRACE(shards);
     auto parallel = parallel_pipeline(shards);
     const auto analysis = parallel->analyze_attacks();
-    EXPECT_EQ(analysis.response_sessions, expected.response_sessions);
-    EXPECT_EQ(analysis.common_sessions, expected.common_sessions);
-    EXPECT_EQ(analysis.quic_attacks, expected.quic_attacks);
-    EXPECT_EQ(analysis.common_attacks, expected.common_attacks);
-    // Weighted thresholds (the Figure 10 sweep) must agree as well.
-    const auto strict = DosThresholds{}.weighted(0.5);
-    EXPECT_EQ(parallel->analyze_attacks(strict).quic_attacks,
-              serial.analyze_attacks(strict).quic_attacks);
+    EXPECT_EQ(analysis.response_sessions, response);
+    EXPECT_EQ(analysis.common_sessions, common);
+    EXPECT_EQ(analysis.quic_attacks, quic_attacks);
+    EXPECT_EQ(analysis.common_attacks, common_attacks);
+    EXPECT_EQ(parallel->analyze_attacks(strict).quic_attacks, strict_attacks);
   }
 }
 

@@ -1,8 +1,9 @@
-// Focused pipeline tests: hourly binning bounds, classifier corner
-// cases, and the convenience accessors not exercised elsewhere.
+// Focused pipeline tests on the serial case (shards = 1): hourly binning
+// bounds, classifier corner cases, and the accessors of an empty or
+// re-thresholded pipeline.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "net/headers.hpp"
 #include "quic/gquic.hpp"
 #include "quic/packets.hpp"
@@ -36,7 +37,7 @@ PipelineOptions one_day_options() {
 }
 
 TEST(PipelineTest, HourlyBinsRespectWindowBounds) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), 1);
   pipeline.consume(quic_response_at(kT0));                      // hour 0
   pipeline.consume(quic_response_at(kT0 + 5 * util::kHour));    // hour 5
   pipeline.consume(quic_response_at(kT0 + 23 * util::kHour));   // hour 23
@@ -57,7 +58,7 @@ TEST(PipelineTest, HourlyBinsRespectWindowBounds) {
 TEST(PipelineTest, SourceAndDestPort443IsResponse) {
   // The paper finds no packets with both ports 443; ours classifies such
   // a packet as a response deterministically.
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), 1);
   const auto ctx = quic::HandshakeContext::random(1, rng());
   net::Ipv4Header ip;
   ip.src = net::Ipv4Address::from_octets(142, 250, 0, 9);
@@ -72,7 +73,7 @@ TEST(PipelineTest, SourceAndDestPort443IsResponse) {
 }
 
 TEST(PipelineTest, GquicBackscatterCountsAsQuicResponse) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), 1);
   net::Ipv4Header ip;
   ip.src = net::Ipv4Address::from_octets(142, 250, 0, 9);
   ip.dst = net::Ipv4Address::from_octets(44, 0, 0, 1);
@@ -89,7 +90,7 @@ TEST(PipelineTest, GquicBackscatterCountsAsQuicResponse) {
 }
 
 TEST(PipelineTest, EmptyPipelineAccessors) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), 1);
   EXPECT_TRUE(pipeline.records().empty());
   EXPECT_TRUE(pipeline.request_sessions(util::kMinute).empty());
   const auto analysis = pipeline.analyze_attacks();
@@ -102,7 +103,7 @@ TEST(PipelineTest, EmptyPipelineAccessors) {
 }
 
 TEST(PipelineTest, AnalyzeWithCustomThresholds) {
-  Pipeline pipeline(one_day_options());
+  ParallelPipeline pipeline(one_day_options(), 1);
   // 30 response packets over 2 minutes from one victim.
   for (int i = 0; i < 30; ++i) {
     pipeline.consume(quic_response_at(kT0 + i * 4 * util::kSecond));
@@ -112,6 +113,22 @@ TEST(PipelineTest, AnalyzeWithCustomThresholds) {
   const auto relaxed =
       pipeline.analyze_attacks(DosThresholds{}.weighted(0.2));
   EXPECT_EQ(relaxed.quic_attacks.size(), 1u);
+}
+
+TEST(PipelineTest, PacketLargerThanBatchArenaIsCounted) {
+  // consume() stages packets in a RecordBatch arena; a packet bigger than
+  // a whole arena (pcapng allows it) still reaches the classifier, in
+  // arrival order.
+  ParallelPipeline pipeline(one_day_options(), 1);
+  pipeline.consume(quic_response_at(kT0));
+  pipeline.consume(
+      {kT0 + util::kSecond,
+       std::vector<std::uint8_t>(2 * net::RecordBatch::kDefaultArenaBytes)});
+  pipeline.consume(quic_response_at(kT0 + 2 * util::kSecond));
+  EXPECT_EQ(pipeline.stats().total, 3u);
+  EXPECT_EQ(pipeline.stats().undecodable, 1u);
+  ASSERT_EQ(pipeline.records().size(), 2u);
+  EXPECT_EQ(pipeline.records()[1].timestamp, kT0 + 2 * util::kSecond);
 }
 
 TEST(DetectedAttackTest, OverlapPredicate) {

@@ -6,7 +6,7 @@
 #include <filesystem>
 #include <sstream>
 
-#include "core/pipeline.hpp"
+#include "core/parallel_pipeline.hpp"
 #include "core/report.hpp"
 #include "net/pcap.hpp"
 #include "scanner/deployment.hpp"
@@ -49,7 +49,7 @@ core::PipelineOptions pipeline_options(const telescope::ScenarioConfig& c) {
 TEST(ReportTest, BuildAndPrint) {
   const auto config = small_scenario();
   telescope::TelescopeGenerator generator(config, registry(), deployment());
-  core::Pipeline pipeline(pipeline_options(config));
+  core::ParallelPipeline pipeline(pipeline_options(config), 1);
   generator.generate(
       [&](const net::RawPacket& packet) { pipeline.consume(packet); });
   const auto analysis = pipeline.analyze_attacks();
@@ -90,7 +90,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
           .string();
 
   // Direct path.
-  core::Pipeline direct(pipeline_options(config));
+  core::ParallelPipeline direct(pipeline_options(config), 1);
   {
     telescope::TelescopeGenerator generator(config, registry(), deployment());
     net::PcapWriter writer(path);
@@ -100,7 +100,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
     });
   }
   // Through the pcap file.
-  core::Pipeline via_pcap(pipeline_options(config));
+  core::ParallelPipeline via_pcap(pipeline_options(config), 1);
   {
     net::PcapReader reader(path);
     reader.for_each(
@@ -127,7 +127,7 @@ TEST(PcapEquivalence, PcapRoundTripMatchesDirectConsumption) {
 TEST(ReportTest, EmptyPipelineProducesEmptyReport) {
   core::PipelineOptions options;
   options.days = 1;
-  core::Pipeline pipeline(options);
+  core::ParallelPipeline pipeline(options, 1);
   const auto analysis = pipeline.analyze_attacks();
   const auto report =
       core::build_report(pipeline, analysis, registry(), deployment());

@@ -33,29 +33,19 @@ TEST(Time, HourBinning) {
             HourBin{30 * 24 - 1});
 }
 
-TEST(Time, MinuteBinning) {
-  const Timestamp origin{};
-  EXPECT_EQ(minute_bin(origin + 59 * kSecond, origin), MinuteBin{0});
-  EXPECT_EQ(minute_bin(origin + 60 * kSecond, origin), MinuteBin{1});
-}
-
 TEST(Time, PreOriginBinsUseFloorDivision) {
   // Truncation toward zero would put the whole (-1h, 1h) range in bin 0;
   // floor semantics give pre-origin timestamps their own negative bins.
   const Timestamp origin = kApril2021Start;
-  EXPECT_EQ(minute_bin(origin - kMicrosecond, origin), MinuteBin{-1});
-  EXPECT_EQ(minute_bin(origin - kMinute, origin), MinuteBin{-1});
-  EXPECT_EQ(minute_bin(origin - kMinute - kMicrosecond, origin),
-            MinuteBin{-2});
   EXPECT_EQ(hour_bin(origin - kMicrosecond, origin), HourBin{-1});
   EXPECT_EQ(hour_bin(origin - kHour, origin), HourBin{-1});
+  EXPECT_EQ(hour_bin(origin - kHour - kMicrosecond, origin), HourBin{-2});
 }
 
 TEST(Time, BinOffsetOverflowThrows) {
   const Timestamp far_future{std::numeric_limits<std::int64_t>::max()};
   const Timestamp before_epoch{-2};
   EXPECT_THROW(hour_bin(far_future, before_epoch), std::overflow_error);
-  EXPECT_THROW(minute_bin(far_future, before_epoch), std::overflow_error);
   EXPECT_EQ(hour_bin(far_future, Timestamp{}),
             HourBin{std::numeric_limits<std::int64_t>::max() / kHour.count()});
 }
