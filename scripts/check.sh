@@ -8,7 +8,8 @@
 #   4. build the asan and ubsan presets' fuzz drivers and run a bounded
 #      smoke (FUZZ_SMOKE_ITERATIONS per target, default 500) from the
 #      committed corpus — replays every committed crasher, then fuzzes;
-#      the ubsan leg also runs the unit suites in $ubsan_tests
+#      the ubsan leg also builds every test and runs the whole tier-1
+#      label under the fatal ubsan preset
 #   5. run quicsand_lint over every first-party tree (also the `lint`
 #      ctest label), writing the JSON report CI uploads as an artifact;
 #      when clang is installed, run the thread-safety gate
@@ -40,8 +41,6 @@ fuzz_targets="fuzz_live_datagram fuzz_net_headers fuzz_pcap fuzz_pcapng \
 fuzz_quic_dissect fuzz_quic_header fuzz_quic_transport_params \
 fuzz_quic_varint"
 smoke_iters="${FUZZ_SMOKE_ITERATIONS:-500}"
-# Unit suites that must stay clean under the fatal ubsan preset.
-ubsan_tests="crypto_hmac_hkdf_test"
 
 echo "==> configure+build (default preset)"
 cmake --preset default
@@ -81,12 +80,9 @@ if [ "$run_fuzz" = 1 ]; then
         --iterations "$smoke_iters" --corpus "tests/corpus/$name"
     done
     if [ "$preset" = ubsan ]; then
-      echo "==> unit suites (ubsan): $ubsan_tests"
-      # shellcheck disable=SC2086
-      cmake --build --preset ubsan -j "$jobs" --target $ubsan_tests
-      for test in $ubsan_tests; do
-        "build-ubsan/tests/$test"
-      done
+      echo "==> ctest tier1 (ubsan)"
+      cmake --build --preset ubsan -j "$jobs"
+      ctest --preset ubsan -j "$jobs"
     fi
   done
 fi

@@ -1,5 +1,6 @@
 #include "core/parallel_pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -43,6 +44,7 @@ ParallelPipeline::ParallelPipeline(PipelineOptions options,
     worker_classifiers_.push_back(std::make_unique<Classifier>(
         ClassifierConfig{options_.research_prefixes}));
   }
+  worker_scratch_.resize(shards_);
   worker_hourly_.reserve(kHourlySlotCount);
   for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
     worker_hourly_.emplace_back(shards_, hours_);
@@ -176,7 +178,8 @@ void ParallelPipeline::submit_batch(net::RecordBatch&& batch) {
     }
     const auto batch_start = classify_batch_us_ != nullptr ? steady_us() : 0;
     auto& classifier = *worker_classifiers_[worker];
-    out->reserve(shared->size());
+    auto& kept = worker_scratch_[worker];
+    kept.clear();
     for (std::size_t i = 0; i < shared->size(); ++i) {
       const auto view = shared->view(i);
       const auto record = classifier.classify(view.timestamp, view.data);
@@ -187,8 +190,10 @@ void ParallelPipeline::submit_batch(net::RecordBatch&& batch) {
                                                                       hour);
                  });
       if (!keep_for_analysis(*record)) continue;
-      out->push_back(*record);
+      kept.push_back(*record);
     }
+    // The slot outlives ingest, so it takes exactly the kept records.
+    out->assign(kept.begin(), kept.end());
     if (records_counter_ != nullptr) {
       records_counter_->add(out->size());
     }
@@ -215,15 +220,17 @@ void ParallelPipeline::finish() {
   for (std::size_t slot = 0; slot < kHourlySlotCount; ++slot) {
     hourly_.of(static_cast<HourlySlot>(slot)) = worker_hourly_[slot].merged();
   }
+  // Batches were dispatched in arrival order, so reading their slots in
+  // order reproduces the arrival-order record stream exactly.
+  segments_.reserve(batches_.size());
+  segment_ends_.reserve(batches_.size());
   std::size_t total = 0;
-  for (const auto& batch : batches_) total += batch.size();
-  records_.reserve(total);
-  // Batches were dispatched in arrival order, so concatenating them
-  // reproduces the arrival-order record stream exactly.
-  for (auto& batch : batches_) {
-    records_.insert(records_.end(), batch.begin(), batch.end());
+  for (const auto& batch : batches_) {
+    segments_.emplace_back(batch);
+    total += batch.size();
+    segment_ends_.push_back(total);
   }
-  batches_.clear();
+  worker_scratch_ = {};
   finished_ = true;
   if (auto* metrics = options_.obs.metrics) {
     publish_classifier_stats(stats_, *metrics);
@@ -244,9 +251,16 @@ const HourlySeries& ParallelPipeline::hourly() {
   return hourly_;
 }
 
-std::span<const PacketRecord> ParallelPipeline::records() {
+const PacketRecord& RecordView::operator[](std::size_t i) const {
+  const auto segment = static_cast<std::size_t>(
+      std::upper_bound(ends_.begin(), ends_.end(), i) - ends_.begin());
+  const std::size_t start = segment == 0 ? 0 : ends_[segment - 1];
+  return segments_[segment][i - start];
+}
+
+RecordView ParallelPipeline::records() {
   finish();
-  return records_;
+  return {segments_, segment_ends_};
 }
 
 std::vector<std::vector<Session>> ParallelPipeline::sharded_sessions(
@@ -256,7 +270,7 @@ std::vector<std::vector<Session>> ParallelPipeline::sharded_sessions(
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
     const auto start = sessionize_shard_us_ != nullptr ? steady_us() : 0;
     parts[s] =
-        build_sessions(records_, timeout, shard_filter(filter, s, shards_));
+        build_sessions(segments_, timeout, shard_filter(filter, s, shards_));
     if (sessionize_shard_us_ != nullptr) {
       sessionize_shard_us_->record(steady_us() - start);
     }
@@ -289,7 +303,7 @@ ParallelPipeline::session_timeout_sweep(
   std::vector<GapProfile> profiles(shards_);
   pool_->parallel_for(shards_, [&](std::size_t s, std::size_t) {
     profiles[s] = collect_gap_profile(
-        records_, shard_filter(sanitized_quic_filter(), s, shards_));
+        segments_, shard_filter(sanitized_quic_filter(), s, shards_));
   });
   GapProfile merged;
   for (auto& profile : profiles) {
@@ -316,9 +330,9 @@ AttackAnalysis ParallelPipeline::analyze_attacks(
     const auto start = analyze_shard_us_ != nullptr ? steady_us() : 0;
     auto& out = outs[s];
     out.response = build_sessions(
-        records_, timeout, shard_filter(quic_response_filter(), s, shards_));
+        segments_, timeout, shard_filter(quic_response_filter(), s, shards_));
     out.common =
-        build_sessions(records_, timeout,
+        build_sessions(segments_, timeout,
                        shard_filter(common_backscatter_filter(), s, shards_));
     out.quic_attacks = detect_attacks(out.response, thresholds);
     out.common_attacks = detect_attacks(out.common, thresholds);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -36,6 +37,32 @@ namespace quicsand::core {
 /// It MUST fail to compile under -Werror=thread-safety — if deleting a
 /// QS_GUARDED_BY/QS_REQUIRES here makes the probe build, CI fails.
 struct TsaNegativeProbe;
+
+/// Read-only view of a record stream stored in segments, indexed and
+/// iterated as one sequence in segment order. Empty segments are allowed.
+/// References point into the owner's storage, so the view lives no
+/// longer than its owner.
+class RecordView {
+ public:
+  /// `ends[i]` is the number of records in segments [0, i].
+  RecordView(RecordSegments segments, std::span<const std::size_t> ends)
+      : segments_(segments), ends_(ends), joined_(segments) {}
+
+  [[nodiscard]] std::size_t size() const {
+    return ends_.empty() ? 0 : ends_.back();
+  }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] const PacketRecord& operator[](std::size_t i) const;
+  [[nodiscard]] const PacketRecord& front() const { return (*this)[0]; }
+  [[nodiscard]] auto begin() const { return joined_.begin(); }
+  [[nodiscard]] auto end() const { return joined_.end(); }
+
+ private:
+  RecordSegments segments_;
+  std::span<const std::size_t> ends_;
+  /// Its iterators point back at it, so iterate the view while it lives.
+  std::ranges::join_view<RecordSegments> joined_;
+};
 
 class ParallelPipeline {
  public:
@@ -76,8 +103,9 @@ class ParallelPipeline {
   [[nodiscard]] const HourlySeries& hourly();
 
   /// Sanitized records (research scanners and kOther dropped) in arrival
-  /// order, the same for every shard count.
-  [[nodiscard]] std::span<const PacketRecord> records();
+  /// order, the same for every shard count. They stay in the per-batch
+  /// segments the workers wrote; the view reads them as one sequence.
+  [[nodiscard]] RecordView records();
 
   std::vector<Session> request_sessions(util::Duration timeout);
   std::vector<Session> response_sessions(util::Duration timeout);
@@ -124,10 +152,13 @@ class ParallelPipeline {
 
   // Ingest: the main thread appends an output slot per batch before
   // submitting it, so workers write disjoint, stable deque elements.
+  // Each slot holds exactly the batch's kept records (copied from the
+  // worker's scratch vector) and is the record storage from then on.
   // pending_ is the batch consume() fills; a zero-capacity placeholder
   // until the first consume(), so batch-only callers never allocate it.
   net::RecordBatch pending_{0, 0};
   std::deque<std::vector<PacketRecord>> batches_;
+  std::vector<std::vector<PacketRecord>> worker_scratch_;
   util::Mutex inflight_mutex_{util::LockRank::kPipelineInflight,
                               "pipeline_inflight"};
   util::CondVar inflight_cv_;
@@ -144,7 +175,9 @@ class ParallelPipeline {
   bool finished_ = false;
   ClassifierStats stats_;
   HourlySeries hourly_;
-  std::vector<PacketRecord> records_;
+  /// batches_ as spans, and the running record count at each one's end.
+  std::vector<std::span<const PacketRecord>> segments_;
+  std::vector<std::size_t> segment_ends_;
 
   // Observability handles, resolved once at construction; all nullptr
   // when no registry is attached (options_.obs).

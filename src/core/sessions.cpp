@@ -56,13 +56,15 @@ void absorb_record(Session& session, const PacketRecord& record) {
     session.minute_count = 0;
   }
   session.best_minute = std::max(session.best_minute, ++session.minute_count);
-  if (record.has_scid) session.scids.insert(record.scid_hash);
-  // The "peer" is the other endpoint: destination for responses and
-  // requests alike (the telescope side).
-  session.peers.insert(record.dst.value());
-  session.peer_ports.insert(
-      (static_cast<std::uint64_t>(record.dst.value()) << 16) |
-      record.dst_port);
+  if (record.is_quic()) {
+    if (record.has_scid) session.scids.insert(record.scid_hash);
+    // The "peer" is the other endpoint: destination for responses and
+    // requests alike (the telescope side).
+    session.peers.insert(record.dst.value());
+    session.peer_ports.insert(
+        (static_cast<std::uint64_t>(record.dst.value()) << 16) |
+        record.dst_port);
+  }
   for (std::size_t k = 0; k < kQuicKindCount; ++k) {
     session.kind_counts[k] += record.kind_counts[k];
   }
@@ -105,30 +107,38 @@ RecordFilter sanitized_quic_filter() {
               class_bit(TrafficClass::kQuicResponse))};
 }
 
-std::vector<Session> build_sessions(std::span<const PacketRecord> records,
+std::vector<Session> build_sessions(RecordSegments segments,
                                     util::Duration timeout,
                                     const RecordFilter& filter) {
   std::vector<Session> closed;
   std::unordered_map<std::uint32_t, Session> open;
-  for (const auto& record : records) {
-    if (!filter(record)) continue;
-    auto [it, inserted] = open.try_emplace(record.src.value());
-    if (inserted) {
-      it->second = open_session(record);
-      continue;
-    }
-    Session& session = it->second;
-    if (record.timestamp - session.end > timeout) {
-      closed.push_back(std::move(session));
-      it->second = open_session(record);
-    } else {
-      absorb_record(session, record);
+  for (const auto segment : segments) {
+    for (const auto& record : segment) {
+      if (!filter(record)) continue;
+      auto [it, inserted] = open.try_emplace(record.src.value());
+      if (inserted) {
+        it->second = open_session(record);
+        continue;
+      }
+      Session& session = it->second;
+      if (record.timestamp - session.end > timeout) {
+        closed.push_back(std::move(session));
+        it->second = open_session(record);
+      } else {
+        absorb_record(session, record);
+      }
     }
   }
   closed.reserve(closed.size() + open.size());
   for (auto& [source, session] : open) closed.push_back(std::move(session));
   std::sort(closed.begin(), closed.end(), session_before);
   return closed;
+}
+
+std::vector<Session> build_sessions(std::span<const PacketRecord> records,
+                                    util::Duration timeout,
+                                    const RecordFilter& filter) {
+  return build_sessions(RecordSegments(&records, 1), timeout, filter);
 }
 
 SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
@@ -157,21 +167,28 @@ SessionMerge merge_sessions(std::vector<std::vector<Session>> parts) {
   return merge;
 }
 
-GapProfile collect_gap_profile(std::span<const PacketRecord> records,
+GapProfile collect_gap_profile(RecordSegments segments,
                                const RecordFilter& filter) {
   GapProfile profile;
   std::unordered_map<std::uint32_t, util::Timestamp> last_seen;
-  for (const auto& record : records) {
-    if (!filter(record)) continue;
-    const auto [it, inserted] =
-        last_seen.try_emplace(record.src.value(), record.timestamp);
-    if (!inserted) {
-      profile.gaps.push_back(record.timestamp - it->second);
-      it->second = record.timestamp;
+  for (const auto segment : segments) {
+    for (const auto& record : segment) {
+      if (!filter(record)) continue;
+      const auto [it, inserted] =
+          last_seen.try_emplace(record.src.value(), record.timestamp);
+      if (!inserted) {
+        profile.gaps.push_back(record.timestamp - it->second);
+        it->second = record.timestamp;
+      }
     }
   }
   profile.sources = last_seen.size();
   return profile;
+}
+
+GapProfile collect_gap_profile(std::span<const PacketRecord> records,
+                               const RecordFilter& filter) {
+  return collect_gap_profile(RecordSegments(&records, 1), filter);
 }
 
 void merge_gap_profiles(GapProfile& into, GapProfile&& from) {

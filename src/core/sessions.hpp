@@ -87,6 +87,11 @@ struct Session {
   std::uint32_t minute_count = 0;
   std::uint32_t best_minute = 0;
   /// Distinct counter hashes: SCIDs, peer addresses, (addr, port) pairs.
+  /// Only QUIC records (kQuicRequest / kQuicResponse) enter these sets:
+  /// their one reader is the per-attack provider profile (Figure 9) of
+  /// QUIC floods, while TCP/ICMP backscatter is most of a telescope's
+  /// records. A TCP/ICMP session's sets are empty, and a filter that
+  /// mixes classes counts only its QUIC records here.
   FlatSet scids;
   FlatSet peers;
   FlatSet peer_ports;
@@ -141,9 +146,17 @@ RecordFilter quic_response_filter();
 RecordFilter common_backscatter_filter();  ///< TCP + ICMP backscatter
 RecordFilter sanitized_quic_filter();      ///< both QUIC directions
 
+/// A record stream stored as consecutive segments (ParallelPipeline keeps
+/// one per ingest batch), read in segment order.
+using RecordSegments = std::span<const std::span<const PacketRecord>>;
+
 /// Group the filtered records into per-source sessions with the given
 /// inactivity timeout. Records must be in non-decreasing time order
 /// (pcap / generator order). Sessions are returned sorted by start time.
+std::vector<Session> build_sessions(RecordSegments segments,
+                                    util::Duration timeout,
+                                    const RecordFilter& filter);
+/// One-segment form of the above.
 std::vector<Session> build_sessions(std::span<const PacketRecord> records,
                                     util::Duration timeout,
                                     const RecordFilter& filter);
@@ -169,6 +182,8 @@ struct GapProfile {
   std::vector<util::Duration> gaps;  ///< unsorted
 };
 
+GapProfile collect_gap_profile(RecordSegments segments,
+                               const RecordFilter& filter);
 GapProfile collect_gap_profile(std::span<const PacketRecord> records,
                                const RecordFilter& filter);
 void merge_gap_profiles(GapProfile& into, GapProfile&& from);

@@ -1,5 +1,6 @@
 #include "net/pcap.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <chrono>
@@ -11,6 +12,13 @@
 namespace quicsand::net {
 
 namespace {
+
+constexpr std::size_t kRecordHeaderSize = 16;
+constexpr std::size_t kEthernetHeaderSize = 14;
+/// Largest caplen accepted; anything above is rejected as corrupt.
+constexpr std::uint32_t kMaxCaplen = 1U << 20;
+/// Read-ahead block; the buffer grows past it only for a larger record.
+constexpr std::size_t kBlockSize = 256 * 1024;
 
 // pcap headers are written in the byte order of the capturing host; we
 // emit little-endian (the near-universal convention) and byte-swap on read
@@ -148,44 +156,66 @@ void PcapReader::set_metrics(obs::MetricsRegistry* metrics) {
                                "wall time to read one record");
 }
 
+bool PcapReader::fill(std::size_t need) {
+  if (end_ - pos_ >= need) return true;
+  if (stream_done_) return false;
+  // Move the unread tail to the front, grow for an oversized record, then
+  // top the buffer up with one read: a short read means the stream ended.
+  std::copy(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
+            buf_.begin() + static_cast<std::ptrdiff_t>(end_), buf_.begin());
+  end_ -= pos_;
+  pos_ = 0;
+  if (buf_.size() < need) buf_.resize(std::max(need, kBlockSize));
+  const auto want = static_cast<std::streamsize>(buf_.size() - end_);
+  in_->read(reinterpret_cast<char*>(buf_.data() + end_), want);
+  const auto got = in_->gcount();
+  end_ += static_cast<std::size_t>(got);
+  if (got < want) stream_done_ = true;
+  return end_ >= need;
+}
+
+void PcapReader::fail_truncated(const char* what) {
+  if (truncated_counter_ != nullptr) truncated_counter_->add();
+  throw std::runtime_error(what);
+}
+
 std::optional<RawPacket> PcapReader::next() {
   const ScopedLatency latency(read_us_);
-  std::array<std::uint8_t, 16> rec{};
-  in_->read(reinterpret_cast<char*>(rec.data()),
-           static_cast<std::streamsize>(rec.size()));
-  if (in_->gcount() == 0) return std::nullopt;
-  if (in_->gcount() != 16) {
-    if (truncated_counter_ != nullptr) truncated_counter_->add();
-    throw std::runtime_error("PcapReader: truncated record header");
+  if (!fill(kRecordHeaderSize)) {
+    if (pos_ == end_) return std::nullopt;
+    pos_ = end_;
+    fail_truncated("PcapReader: truncated record header");
   }
+  const std::uint8_t* rec = buf_.data() + pos_;
   auto fix = [&](std::uint32_t v) { return swapped_ ? bswap32(v) : v; };
   const std::uint32_t secs = fix(get_u32le(&rec[0]));
   const std::uint32_t frac = fix(get_u32le(&rec[4]));
   const std::uint32_t caplen = fix(get_u32le(&rec[8]));
-  if (caplen > 1 << 20) {
-    if (truncated_counter_ != nullptr) truncated_counter_->add();
-    throw std::runtime_error("PcapReader: absurd caplen");
+  // Checked before buffering, so a hostile caplen cannot grow buf_.
+  if (caplen > kMaxCaplen) {
+    pos_ += kRecordHeaderSize;
+    fail_truncated("PcapReader: absurd caplen");
+  }
+  if (!fill(kRecordHeaderSize + caplen)) {
+    pos_ = end_;
+    fail_truncated("PcapReader: truncated record body");
+  }
+  const std::uint8_t* body = buf_.data() + pos_ + kRecordHeaderSize;
+  pos_ += kRecordHeaderSize + caplen;
+  std::size_t skip = 0;
+  if (linktype_ == kLinktypeEthernet) {
+    if (caplen < kEthernetHeaderSize) {
+      fail_truncated("PcapReader: short ethernet frame");
+    }
+    skip = kEthernetHeaderSize;
+    if (ethernet_counter_ != nullptr) ethernet_counter_->add();
   }
 
   RawPacket packet;
   packet.timestamp =
       util::Timestamp{} + static_cast<std::int64_t>(secs) * util::kSecond +
       util::Duration{nanos_ ? frac / 1000 : frac};
-  packet.data.resize(caplen);
-  in_->read(reinterpret_cast<char*>(packet.data.data()),
-           static_cast<std::streamsize>(caplen));
-  if (in_->gcount() != static_cast<std::streamsize>(caplen)) {
-    if (truncated_counter_ != nullptr) truncated_counter_->add();
-    throw std::runtime_error("PcapReader: truncated record body");
-  }
-  if (linktype_ == kLinktypeEthernet) {
-    if (packet.data.size() < 14) {
-      if (truncated_counter_ != nullptr) truncated_counter_->add();
-      throw std::runtime_error("PcapReader: short ethernet frame");
-    }
-    packet.data.erase(packet.data.begin(), packet.data.begin() + 14);
-    if (ethernet_counter_ != nullptr) ethernet_counter_->add();
-  }
+  packet.data.assign(body + skip, body + caplen);
   if (packets_counter_ != nullptr) {
     packets_counter_->add();
     bytes_counter_->add(packet.data.size());

@@ -13,6 +13,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "obs/hooks.hpp"
@@ -53,7 +54,9 @@ class PcapReader {
 
   /// Read the next record as a raw IPv4 datagram (Ethernet stripped when
   /// the capture is LINKTYPE_ETHERNET). Returns nullopt at end of file.
-  /// Throws std::runtime_error on a truncated record.
+  /// Throws std::runtime_error on a truncated record. Records are parsed
+  /// out of a block buffer refilled from the stream, so the reader may
+  /// consume the stream ahead of the record it returns.
   std::optional<RawPacket> next();
 
   /// Convenience: invoke `fn` for each remaining packet; returns count.
@@ -68,9 +71,19 @@ class PcapReader {
 
  private:
   void read_global_header();
+  /// Makes at least `need` unread bytes available in buf_, reading whole
+  /// blocks from the stream (and growing buf_ when `need` exceeds it);
+  /// returns false when the stream ends first.
+  bool fill(std::size_t need);
+  /// Counts a truncated record, then throws `what`.
+  [[noreturn]] void fail_truncated(const char* what);
 
   std::ifstream file_;
   std::istream* in_ = nullptr;  ///< &file_ or the caller's stream
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;  ///< first unread byte of buf_
+  std::size_t end_ = 0;  ///< one past the last byte read into buf_
+  bool stream_done_ = false;
   std::uint32_t linktype_ = kLinktypeRaw;
   bool nanos_ = false;
   bool swapped_ = false;

@@ -297,6 +297,103 @@ TEST(SessionsTest, TimeoutSweepMatchesBuildSessions) {
   EXPECT_GE(sweep[1].second, sweep[2].second);
 }
 
+// --- Address sets are kept for QUIC records only ---------------------
+
+/// One record from `src` to telescope address 44.0.0.`host`:`port`.
+PacketRecord set_record(util::Timestamp t, TrafficClass cls,
+                        std::uint8_t host, std::uint16_t port,
+                        std::uint64_t scid = 0) {
+  PacketRecord record;
+  record.timestamp = t;
+  record.src = kOutside;
+  record.dst = net::Ipv4Address::from_octets(44, 0, 0, host);
+  record.dst_port = port;
+  record.wire_size = 60;
+  record.cls = cls;
+  record.has_scid = scid != 0;
+  record.scid_hash = scid;
+  return record;
+}
+
+TEST(SessionAddressSets, TcpAndIcmpSessionsHaveEmptySets) {
+  std::vector<PacketRecord> records;
+  for (int i = 0; i < 40; ++i) {
+    const auto cls = i % 2 == 0 ? TrafficClass::kTcpBackscatter
+                                : TrafficClass::kIcmpBackscatter;
+    records.push_back(set_record(kT0 + i * util::kSecond, cls,
+                                 static_cast<std::uint8_t>(i % 7),
+                                 static_cast<std::uint16_t>(1000 + i), 77));
+  }
+  const auto sessions = build_sessions(records, 5 * util::kMinute,
+                                       common_backscatter_filter());
+  ASSERT_EQ(sessions.size(), 1u);
+  // Everything the DoS thresholds and the correlator read is kept...
+  EXPECT_EQ(sessions[0].packets.count(), 40u);
+  EXPECT_EQ(sessions[0].bytes, 40u * 60u);
+  EXPECT_EQ(sessions[0].duration(), 39 * util::kSecond);
+  EXPECT_EQ(sessions[0].best_minute, 40u);
+  // ...and no address set is built.
+  EXPECT_EQ(sessions[0].scids.size(), 0u);
+  EXPECT_EQ(sessions[0].peers.size(), 0u);
+  EXPECT_EQ(sessions[0].peer_ports.size(), 0u);
+}
+
+TEST(SessionAddressSets, MixedFilterCountsOnlyQuicRecords) {
+  std::vector<PacketRecord> records;
+  // Two QUIC responses: 2 peers, 2 (peer, port) pairs, 2 SCIDs.
+  records.push_back(set_record(kT0, TrafficClass::kQuicResponse, 1, 40000,
+                               11));
+  records.push_back(set_record(kT0 + util::kSecond,
+                               TrafficClass::kQuicResponse, 2, 40001, 12));
+  // TCP/ICMP records to other peers, ports and hashes add nothing.
+  records.push_back(set_record(kT0 + 2 * util::kSecond,
+                               TrafficClass::kTcpBackscatter, 3, 50000, 13));
+  records.push_back(set_record(kT0 + 3 * util::kSecond,
+                               TrafficClass::kIcmpBackscatter, 4, 50001,
+                               14));
+  RecordFilter mixed = quic_response_filter();
+  mixed.classes |= common_backscatter_filter().classes;
+  const auto sessions = build_sessions(records, 5 * util::kMinute, mixed);
+  ASSERT_EQ(sessions.size(), 1u);
+  EXPECT_EQ(sessions[0].packets.count(), 4u);
+  EXPECT_EQ(sessions[0].peers.size(), 2u);
+  EXPECT_EQ(sessions[0].peer_ports.size(), 2u);
+  EXPECT_EQ(sessions[0].scids.size(), 2u);
+  EXPECT_TRUE(sessions[0].peers.contains(records[1].dst.value()));
+  EXPECT_FALSE(sessions[0].peers.contains(records[2].dst.value()));
+
+  // The QUIC-only session holds the very same sets.
+  const auto quic =
+      build_sessions(records, 5 * util::kMinute, quic_response_filter());
+  ASSERT_EQ(quic.size(), 1u);
+  EXPECT_EQ(quic[0].scids, sessions[0].scids);
+  EXPECT_EQ(quic[0].peers, sessions[0].peers);
+  EXPECT_EQ(quic[0].peer_ports, sessions[0].peer_ports);
+}
+
+TEST(SessionAddressSets, SegmentedInputMatchesOneSpan) {
+  std::vector<PacketRecord> records;
+  for (int i = 0; i < 30; ++i) {
+    const auto cls = i % 3 == 0 ? TrafficClass::kTcpBackscatter
+                                : TrafficClass::kQuicResponse;
+    records.push_back(set_record(kT0 + i * 20 * util::kSecond, cls,
+                                 static_cast<std::uint8_t>(i % 5), 40000,
+                                 static_cast<std::uint64_t>(i + 1)));
+  }
+  const std::span<const PacketRecord> all(records);
+  // Three segments, one of them empty.
+  const std::span<const PacketRecord> parts[] = {
+      all.subspan(0, 11), all.subspan(11, 0), all.subspan(11)};
+  RecordFilter mixed = quic_response_filter();
+  mixed.classes |= common_backscatter_filter().classes;
+  EXPECT_EQ(build_sessions(parts, util::kMinute, mixed),
+            build_sessions(records, util::kMinute, mixed));
+  const auto segmented = collect_gap_profile(parts, mixed);
+  const auto whole = collect_gap_profile(records, mixed);
+  EXPECT_EQ(segmented.sources, whole.sources);
+  EXPECT_EQ(segmented.gaps, whole.gaps);
+}
+
 TEST(SessionsTest, TrafficClassNames) {
   EXPECT_STREQ(traffic_class_name(TrafficClass::kQuicRequest),
                "quic-request");

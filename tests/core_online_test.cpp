@@ -2,7 +2,9 @@
 // and bounded memory under source churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "core/online.hpp"
 #include "core/parallel_pipeline.hpp"
@@ -101,6 +103,56 @@ TEST(OnlineDetector, SweepBoundsOpenSessions) {
   EXPECT_LE(detector.open_sessions(), 400u);
   detector.finish();
   EXPECT_EQ(detector.open_sessions(), 0u);
+}
+
+TEST(OnlineDetector, MixedClassFilterMatchesBatchDetector) {
+  // Both detectors fold records through absorb_record, so the QUIC-only
+  // address-set rule cannot make them disagree: a filter mixing QUIC and
+  // TCP backscatter finds the same attacks online and in batch.
+  std::vector<PacketRecord> records;
+  for (int i = 0; i < 600; ++i) {
+    const auto t = kT0 + i * util::kSecond / 2;
+    records.push_back(response_record(t, 0xaaaa0001));
+    auto tcp = response_record(t, 0xbbbb0001);
+    tcp.cls = TrafficClass::kTcpBackscatter;
+    tcp.dst_port = static_cast<std::uint16_t>(1000 + i);
+    records.push_back(tcp);
+    if (i % 2 == 0) {
+      auto mixed = tcp;
+      mixed.src = net::Ipv4Address(0xcccc0001);
+      records.push_back(mixed);
+      records.push_back(response_record(t, 0xcccc0001));
+    }
+  }
+  RecordFilter filter = quic_response_filter();
+  filter.classes |= common_backscatter_filter().classes;
+  filter.include_research = true;
+
+  OnlineDetectorConfig config;
+  config.filter = filter;
+  OnlineDetector online(config);
+  std::vector<DetectedAttack> online_attacks;
+  online.set_on_attack(
+      [&](const DetectedAttack& a) { online_attacks.push_back(a); });
+  for (const auto& record : records) online.consume(record);
+  online.finish();
+
+  const auto sessions = build_sessions(records, config.session_timeout,
+                                       filter);
+  auto batch = detect_attacks(sessions, config.thresholds);
+  ASSERT_EQ(batch.size(), 3u);
+  ASSERT_EQ(online_attacks.size(), batch.size());
+  const auto key = [](const DetectedAttack& a) {
+    return std::tuple(a.victim, a.start, a.end, a.packets.count());
+  };
+  std::sort(online_attacks.begin(), online_attacks.end(),
+            [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  std::sort(batch.begin(), batch.end(),
+            [&](const auto& a, const auto& b) { return key(a) < key(b); });
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(key(online_attacks[i]), key(batch[i]));
+    EXPECT_EQ(online_attacks[i].peak_pps, batch[i].peak_pps);
+  }
 }
 
 TEST(OnlineDetector, MatchesBatchDetectorOnScenario) {

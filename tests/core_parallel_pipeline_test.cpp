@@ -9,7 +9,9 @@
 // these under the `tsan` preset).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <limits>
 #include <numeric>
 
@@ -284,6 +286,80 @@ TEST(ParallelPipelineDifferentialTest, AttackAnalysisMatchesSerial) {
     EXPECT_EQ(analysis.common_attacks, common_attacks);
     EXPECT_EQ(parallel->analyze_attacks(strict).quic_attacks, strict_attacks);
   }
+}
+
+/// Appends `packet` to `batch`, handing full batches to the pipeline.
+void append_packet(ParallelPipeline& pipeline, net::RecordBatch& batch,
+                   const net::RawPacket& packet) {
+  if (batch.try_append(packet.timestamp, packet.data)) return;
+  pipeline.consume_batch(std::move(batch));
+  batch = pipeline.acquire_batch();
+  ASSERT_TRUE(batch.try_append(packet.timestamp, packet.data));
+}
+
+/// Hands the pipeline a batch of undecodable packets, none of which
+/// yields a record: an empty segment in the record storage.
+void consume_junk_batch(ParallelPipeline& pipeline, util::Timestamp at) {
+  auto junk = pipeline.acquire_batch();
+  const std::uint8_t bytes[] = {0x00, 0x01, 0x02};
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(junk.try_append(at, bytes));
+  pipeline.consume_batch(std::move(junk));
+}
+
+TEST(ParallelPipelineTest, RecordViewMatchesOracleArray) {
+  const auto& expected = oracle().records;
+  for (const auto shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    ParallelPipeline pipeline(scenario().options, shards);
+    const auto& packets = scenario().packets;
+    // Junk-only batches first, every 3000 packets and last, so empty
+    // segments sit before, between and after the ones with records.
+    std::uint64_t junk_batches = 1;
+    consume_junk_batch(pipeline, packets.front().timestamp);
+    auto batch = pipeline.acquire_batch();
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      append_packet(pipeline, batch, packets[i]);
+      if (i % 3000 == 2999) {
+        pipeline.consume_batch(std::move(batch));
+        consume_junk_batch(pipeline, packets[i].timestamp);
+        ++junk_batches;
+        batch = pipeline.acquire_batch();
+      }
+    }
+    pipeline.consume_batch(std::move(batch));
+    consume_junk_batch(pipeline, packets.back().timestamp);
+    ++junk_batches;
+    EXPECT_EQ(pipeline.stats().undecodable,
+              oracle().stats.undecodable + 50 * junk_batches);
+
+    const auto records = pipeline.records();
+    ASSERT_EQ(records.size(), expected.size());
+    EXPECT_FALSE(records.empty());
+    EXPECT_EQ(records.front(), expected.front());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(records[i], expected[i]) << "record " << i;
+    }
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::distance(records.begin(), records.end())),
+              expected.size());
+    EXPECT_TRUE(std::equal(records.begin(), records.end(), expected.begin(),
+                           expected.end()));
+    // The analyses read the same segments.
+    const auto timeout = scenario().options.session_timeout;
+    EXPECT_EQ(pipeline.response_sessions(timeout),
+              oracle().sessions(timeout, quic_response_filter()));
+  }
+}
+
+TEST(ParallelPipelineTest, RecordViewOfOnlyEmptySegmentsIsEmpty) {
+  ParallelPipeline pipeline(scenario().options, 2);
+  consume_junk_batch(pipeline, scenario().options.window_start);
+  consume_junk_batch(pipeline, scenario().options.window_start);
+  const auto records = pipeline.records();
+  EXPECT_TRUE(records.empty());
+  EXPECT_EQ(records.size(), 0u);
+  EXPECT_TRUE(records.begin() == records.end());
+  EXPECT_EQ(pipeline.stats().undecodable, 100u);
 }
 
 TEST(ParallelPipelineTest, FinishIsIdempotentAndEmptyInputWorks) {
